@@ -282,7 +282,7 @@ func (a *Agent) Metrics() []monitor.Metric {
 		info := s.snapshotLocked()
 		state := s.state
 		var ticks, period, masked, batch uint64
-		var open, funcs int
+		var open int
 		var segs []shmlog.SegmentStat
 		if s.log != nil {
 			ticks = s.log.LoadCounter()
@@ -293,7 +293,6 @@ func (a *Agent) Metrics() []monitor.Metric {
 		}
 		if s.inc != nil {
 			open = s.inc.OpenFrames()
-			funcs = len(s.inc.Snapshot(0).Funcs)
 		}
 		s.mu.Unlock()
 
@@ -309,7 +308,7 @@ func (a *Agent) Metrics() []monitor.Metric {
 			BatchSize:     int(batch),
 			Shards:        monitor.ShardSamples(segs),
 		}
-		out = append(out, monitor.SessionMetrics(info.Name, sample, open, funcs)...)
+		out = append(out, monitor.SessionMetrics(info.Name, sample, open, info.Functions)...)
 		lbl := monitor.SessionLabel(info.Name)
 		for _, st := range States {
 			v := 0.0

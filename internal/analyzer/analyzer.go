@@ -12,7 +12,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 
 	"teeperf/internal/shmlog"
@@ -122,13 +121,6 @@ type pathAccum struct {
 // ErrNilInput is returned when Analyze receives nil arguments.
 var ErrNilInput = errors.New("analyzer: nil log or symbol table")
 
-type frame struct {
-	addr       uint64
-	name       string
-	start      uint64
-	childTicks uint64
-}
-
 // TruncatedFrameName is the synthetic frame recovered-but-unmatched
 // entries are attributed to when analyzing a salvaged log: the visible
 // scar of a torn head or tail, mirroring the analyzer's existing
@@ -170,12 +162,36 @@ type closedRec struct {
 	at       int
 }
 
-// threadResult is one worker's output for one thread.
+// threadResult is one thread's reconstruction: its stack machine and, as
+// the machine's sink, the records it closed, each tagged for the merge.
 type threadResult struct {
-	stat      ThreadStat
+	ts        threadStack
 	recs      []closedRec
-	unmatched int
+	at        int // merge tag of the entry being fed
 	truncated int
+}
+
+func (r *threadResult) closed(f closedFrame, under []frame) {
+	caller := ""
+	if len(under) > 0 {
+		caller = under[len(under)-1].name
+	}
+	r.recs = append(r.recs, closedRec{
+		rec: Record{
+			Thread:    r.ts.id,
+			Name:      f.name,
+			Addr:      f.addr,
+			Caller:    caller,
+			Depth:     len(under),
+			Start:     f.start,
+			End:       f.end,
+			Incl:      f.incl,
+			Self:      f.self,
+			Truncated: f.truncated,
+		},
+		stackKey: foldKey(under, f.name),
+		at:       r.at,
+	})
 }
 
 // Analyze reconstructs a profile from a recorded log.
@@ -208,9 +224,9 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 	}
 
 	// The sampling period scales every weight at the phase-3 merge below.
-	// Reconstruction (phase 2) stays raw: the childTicks arithmetic must
-	// subtract like from like, and integer-multiplying only the finished
-	// records keeps serial, parallel and incremental results exactly equal.
+	// Reconstruction (phase 2) stays raw in the shared threadStack, and
+	// integer-multiplying only the finished records keeps serial, parallel
+	// and incremental results exactly equal.
 	period := log.SamplePeriod()
 	if period == 0 {
 		period = 1
@@ -261,7 +277,7 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 	results := make([]threadResult, len(order))
 	if workers <= 1 {
 		for oi, tid := range order {
-			results[oi] = analyzeThread(threads[tid], tab, n+oi, lenient)
+			analyzeThread(&results[oi], threads[tid], tab, n+oi, lenient)
 		}
 	} else {
 		jobs := make(chan int)
@@ -271,7 +287,7 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 			go func() {
 				defer wg.Done()
 				for oi := range jobs {
-					results[oi] = analyzeThread(threads[order[oi]], tab, n+oi, lenient)
+					analyzeThread(&results[oi], threads[order[oi]], tab, n+oi, lenient)
 				}
 			}()
 		}
@@ -289,13 +305,17 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 	total := 0
 	for oi := range results {
 		r := &results[oi]
-		stat := r.stat
-		stat.Ticks *= period
-		stat.Calls *= period
+		stat := ThreadStat{
+			ID:       r.ts.id,
+			Events:   r.ts.events,
+			Calls:    r.ts.calls * period,
+			Ticks:    r.ts.rootTicks * period,
+			MaxDepth: r.ts.maxDepth,
+		}
 		p.threads = append(p.threads, stat)
 		p.TotalTicks += stat.Ticks
 		p.Truncated += r.truncated
-		p.Unmatched += r.unmatched
+		p.Unmatched += r.ts.unmatched
 		total += len(r.recs)
 	}
 	merged := make([]closedRec, 0, total)
@@ -342,140 +362,29 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 	return p, nil
 }
 
-// analyzeThread rebuilds one thread's call stack from its entry stream.
-// forceAt is the merge tag for frames force-closed at the end of the log
-// (past every real index, ordered by thread discovery). In lenient
+// analyzeThread rebuilds one thread's call stack from its entry stream
+// into r. forceAt is the merge tag for frames force-closed at the end of the
+// log (past every real index, ordered by thread discovery). In lenient
 // (recovery) mode, unmatched returns surface as zero-tick records under
 // TruncatedFrameName rather than being dropped.
-func analyzeThread(g *threadEntries, tab *symtab.Table, forceAt int, lenient bool) threadResult {
-	res := threadResult{stat: ThreadStat{ID: g.id}}
-	var (
-		stack  []frame
-		names  []string
-		lastTS uint64
-	)
-
-	// closeTop completes the top frame at counter value now; identical
-	// arithmetic to the historical serial closeTop.
-	closeTop := func(now uint64, truncated bool, at int) {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-
-		incl := uint64(0)
-		if now > f.start {
-			incl = now - f.start
-		}
-		self := uint64(0)
-		if incl > f.childTicks {
-			self = incl - f.childTicks
-		}
-
-		depth := len(stack)
-		caller := ""
-		if depth > 0 {
-			parent := &stack[depth-1]
-			parent.childTicks += incl
-			caller = parent.name
-		} else {
-			res.stat.Ticks += incl
-		}
-		res.stat.Calls++
-
-		// Folded stack and call-path accounting are attributed to the full
-		// stack including the closing frame.
-		stackKey := strings.Join(names, ";")
-		names = names[:len(names)-1]
-
-		res.recs = append(res.recs, closedRec{
-			rec: Record{
-				Thread:    res.stat.ID,
-				Name:      f.name,
-				Addr:      f.addr,
-				Caller:    caller,
-				Depth:     depth,
-				Start:     f.start,
-				End:       now,
-				Incl:      incl,
-				Self:      self,
-				Truncated: truncated,
-			},
-			stackKey: stackKey,
-			at:       at,
-		})
-	}
-
+func analyzeThread(r *threadResult, g *threadEntries, tab *symtab.Table, forceAt int, lenient bool) {
+	r.ts.id = g.id
 	for k := range g.entries {
 		e := &g.entries[k]
-		res.stat.Events++
-		lastTS = e.Counter
-
-		switch e.Kind {
-		case shmlog.KindCall:
-			stack = append(stack, frame{
-				addr:  e.Addr,
-				name:  tab.Name(e.Addr),
-				start: e.Counter,
-			})
-			names = append(names, stack[len(stack)-1].name)
-			if d := len(stack); d > res.stat.MaxDepth {
-				res.stat.MaxDepth = d
-			}
-		case shmlog.KindReturn:
-			// Pop frames until the one matching the return closes. Frames
-			// above the match lost their return entries (recording was
-			// toggled or the log overflowed); they close at the return's
-			// counter value.
-			match := -1
-			for i := len(stack) - 1; i >= 0; i-- {
-				if stack[i].addr == e.Addr {
-					match = i
-					break
-				}
-			}
-			if match < 0 {
-				res.unmatched++
-				if lenient {
-					// The call side was lost with the torn region:
-					// attribute the orphaned return to the synthetic
-					// truncated frame so the salvage scar is visible.
-					caller := ""
-					if len(stack) > 0 {
-						caller = stack[len(stack)-1].name
-					}
-					stackKey := TruncatedFrameName
-					if len(names) > 0 {
-						stackKey = strings.Join(names, ";") + ";" + TruncatedFrameName
-					}
-					res.recs = append(res.recs, closedRec{
-						rec: Record{
-							Thread:    res.stat.ID,
-							Name:      TruncatedFrameName,
-							Addr:      e.Addr,
-							Caller:    caller,
-							Depth:     len(stack),
-							Start:     e.Counter,
-							End:       e.Counter,
-							Truncated: true,
-						},
-						stackKey: stackKey,
-						at:       g.at[k],
-					})
-				}
-				continue
-			}
-			for len(stack) > match {
-				closeTop(e.Counter, false, g.at[k])
-			}
+		r.at = g.at[k]
+		if !r.ts.feed(*e, tab, r) && lenient {
+			// The call side was lost with the torn region: attribute the
+			// orphaned return to a zero-width synthetic truncated frame so
+			// the salvage scar is visible.
+			r.closed(closedFrame{
+				frame:     frame{addr: e.Addr, name: TruncatedFrameName, start: e.Counter},
+				end:       e.Counter,
+				truncated: true,
+			}, r.ts.stack)
 		}
 	}
-
-	// Force-close whatever remains on the stack at the thread's last
-	// observed counter value; these durations are approximate.
-	for len(stack) > 0 {
-		closeTop(lastTS, true, forceAt)
-		res.truncated++
-	}
-	return res
+	r.at = forceAt
+	r.truncated = r.ts.closeAll(r)
 }
 
 // accumulate folds one (already weight-scaled) record into the per-function

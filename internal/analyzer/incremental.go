@@ -13,12 +13,12 @@ import (
 // shmlog.Cursor surfaces while the workload is still running, and a
 // Snapshot at any point reflects everything committed so far.
 //
-// The stack-reconstruction rules are identical to Analyze's — unmatched
-// returns are counted and skipped, and frames still open at snapshot time
-// are provisionally closed at their thread's last observed counter value
-// (the live analogue of the offline force-close at the log's end) — so
-// once the stream has been fully drained a snapshot converges to exactly
-// the offline analyzer's result.
+// Each thread is rebuilt by the same per-thread stack machine Analyze runs,
+// fed live instead of from a grouped log: unmatched returns are counted and
+// skipped, and a Snapshot force-closes a copy of the open frames at their
+// thread's last observed counter value, exactly as Analyze force-closes
+// them at the log's end. Once the stream has been fully drained, a snapshot
+// therefore equals the offline analyzer's result by construction.
 //
 // Batched writers (probe.WithBatch) never disturb the stream: the cursor
 // skips in-flight reserved slots and revisits them once committed, emitting
@@ -30,28 +30,35 @@ import (
 // access to it.
 type Incremental struct {
 	tab     *symtab.Table
-	threads map[uint64]*incThread
+	threads map[uint64]*threadStack
 	order   []uint64
-	funcs   map[string]*LiveFunc
+	live    liveTotals
+}
 
-	// period is the sampling-period weight multiplier (>= 1). Stack
-	// reconstruction stays raw; the period scales ticks and call counts at
-	// aggregation time, exactly like the offline analyzer's phase-3 merge,
-	// so a drained snapshot still equals Analyze's result on sampled logs.
-	period uint64
-
-	entries    int
-	unmatched  int
+// liveTotals is the live table's running aggregate: the sink Incremental's
+// stack machines close frames into. It applies the sampling period, so
+// reconstruction stays raw exactly like the offline analyzer's, and a
+// drained snapshot still equals Analyze's result on sampled logs.
+type liveTotals struct {
+	funcs      map[string]*LiveFunc
+	period     uint64 // weight multiplier, >= 1
 	calls      uint64
 	totalTicks uint64 // inclusive ticks of closed root frames
 }
 
-type incThread struct {
-	id       uint64
-	stack    []frame
-	lastTS   uint64
-	events   int
-	maxDepth int
+func (lt *liveTotals) closed(f closedFrame, under []frame) {
+	lf, ok := lt.funcs[f.name]
+	if !ok {
+		lf = &LiveFunc{Name: f.name, addr: f.addr}
+		lt.funcs[f.name] = lf
+	}
+	lf.Calls += lt.period
+	lf.Incl += f.incl * lt.period
+	lf.Self += f.self * lt.period
+	lt.calls += lt.period
+	if len(under) == 0 {
+		lt.totalTicks += f.incl * lt.period
+	}
 }
 
 // LiveFunc is one function's running totals in the live table.
@@ -105,9 +112,8 @@ func (t *LiveTable) SelfPercent(f LiveFunc) float64 {
 func NewIncremental(tab *symtab.Table) *Incremental {
 	return &Incremental{
 		tab:     tab,
-		threads: make(map[uint64]*incThread),
-		funcs:   make(map[string]*LiveFunc),
-		period:  1,
+		threads: make(map[uint64]*threadStack),
+		live:    liveTotals{funcs: make(map[string]*LiveFunc), period: 1},
 	}
 }
 
@@ -120,37 +126,21 @@ func (inc *Incremental) SetSamplePeriod(n uint64) {
 	if n == 0 {
 		n = 1
 	}
-	inc.period = n
+	inc.live.period = n
 }
 
 // SamplePeriod returns the current weight multiplier.
-func (inc *Incremental) SamplePeriod() uint64 { return inc.period }
+func (inc *Incremental) SamplePeriod() uint64 { return inc.live.period }
 
 // Feed folds one log entry into the live table.
 func (inc *Incremental) Feed(e shmlog.Entry) {
 	ts, ok := inc.threads[e.ThreadID]
 	if !ok {
-		ts = &incThread{id: e.ThreadID}
+		ts = &threadStack{id: e.ThreadID}
 		inc.threads[e.ThreadID] = ts
 		inc.order = append(inc.order, e.ThreadID)
 	}
-	inc.entries++
-	ts.events++
-	ts.lastTS = e.Counter
-
-	switch e.Kind {
-	case shmlog.KindCall:
-		ts.stack = append(ts.stack, frame{
-			addr:  e.Addr,
-			name:  inc.tab.Name(e.Addr),
-			start: e.Counter,
-		})
-		if d := len(ts.stack); d > ts.maxDepth {
-			ts.maxDepth = d
-		}
-	case shmlog.KindReturn:
-		inc.closeUntil(ts, e.Addr, e.Counter)
-	}
+	ts.feed(e, inc.tab, &inc.live)
 }
 
 // FeedAll folds a batch of entries in order.
@@ -161,10 +151,22 @@ func (inc *Incremental) FeedAll(entries []shmlog.Entry) {
 }
 
 // Entries returns how many log entries have been folded in.
-func (inc *Incremental) Entries() int { return inc.entries }
+func (inc *Incremental) Entries() int {
+	n := 0
+	for _, ts := range inc.threads {
+		n += ts.events
+	}
+	return n
+}
 
 // Unmatched returns how many returns had no corresponding call.
-func (inc *Incremental) Unmatched() int { return inc.unmatched }
+func (inc *Incremental) Unmatched() int {
+	n := 0
+	for _, ts := range inc.threads {
+		n += ts.unmatched
+	}
+	return n
+}
 
 // OpenFrames returns how many calls are currently in flight.
 func (inc *Incremental) OpenFrames() int {
@@ -173,61 +175,6 @@ func (inc *Incremental) OpenFrames() int {
 		open += len(ts.stack)
 	}
 	return open
-}
-
-// closeUntil mirrors Profile.closeUntil: pop frames until the one matching
-// addr is closed; an unmatched return is counted and skipped.
-func (inc *Incremental) closeUntil(ts *incThread, addr, now uint64) {
-	match := -1
-	for i := len(ts.stack) - 1; i >= 0; i-- {
-		if ts.stack[i].addr == addr {
-			match = i
-			break
-		}
-	}
-	if match < 0 {
-		inc.unmatched++
-		return
-	}
-	for len(ts.stack) > match {
-		inc.closeTop(ts, now)
-	}
-}
-
-// closeTop completes the top frame at counter value now, with the same
-// inclusive/exclusive arithmetic as the offline analyzer.
-func (inc *Incremental) closeTop(ts *incThread, now uint64) {
-	f := ts.stack[len(ts.stack)-1]
-	ts.stack = ts.stack[:len(ts.stack)-1]
-
-	var incl uint64
-	if now > f.start {
-		incl = now - f.start
-	}
-	var self uint64
-	if incl > f.childTicks {
-		self = incl - f.childTicks
-	}
-	// Stack arithmetic stays raw (childTicks subtracts like from like);
-	// the sampling period scales only the aggregated weights below.
-	if len(ts.stack) > 0 {
-		ts.stack[len(ts.stack)-1].childTicks += incl
-	} else {
-		inc.totalTicks += incl * inc.period
-	}
-	inc.calls += inc.period
-	inc.bump(f.addr, f.name, incl*inc.period, self*inc.period)
-}
-
-func (inc *Incremental) bump(addr uint64, name string, incl, self uint64) {
-	lf, ok := inc.funcs[name]
-	if !ok {
-		lf = &LiveFunc{Name: name, addr: addr}
-		inc.funcs[name] = lf
-	}
-	lf.Calls += inc.period
-	lf.Incl += incl
-	lf.Self += self
 }
 
 // SetTable swaps the resolution table and retroactively re-resolves every
@@ -246,8 +193,8 @@ func (inc *Incremental) SetTable(tab *symtab.Table) {
 			ts.stack[i].name = tab.Name(ts.stack[i].addr)
 		}
 	}
-	funcs := make(map[string]*LiveFunc, len(inc.funcs))
-	for _, lf := range inc.funcs {
+	funcs := make(map[string]*LiveFunc, len(inc.live.funcs))
+	for _, lf := range inc.live.funcs {
 		name := tab.Name(lf.addr)
 		lf.Name = name
 		if prev, ok := funcs[name]; ok {
@@ -258,64 +205,40 @@ func (inc *Incremental) SetTable(tab *symtab.Table) {
 			funcs[name] = lf
 		}
 	}
-	inc.funcs = funcs
+	inc.live.funcs = funcs
 }
 
 // Snapshot returns the current live table. Frames still open are
-// provisionally closed at their thread's last observed counter value on a
-// copy of the totals, so snapshotting never perturbs the running state. A
-// top of 0 returns every function.
+// provisionally closed at their thread's last observed counter value: each
+// thread's open frames are copied and force-closed into a copy of the
+// totals, so snapshotting never perturbs the running state. A top of 0
+// returns every function.
 func (inc *Incremental) Snapshot(top int) LiveTable {
-	t := LiveTable{
-		TotalTicks: inc.totalTicks,
-		Entries:    inc.entries,
-		Calls:      inc.calls,
-		Unmatched:  inc.unmatched,
-		Threads:    len(inc.threads),
-	}
-	merged := make(map[string]LiveFunc, len(inc.funcs))
-	for name, lf := range inc.funcs {
-		merged[name] = *lf
+	snap := inc.live
+	snap.funcs = make(map[string]*LiveFunc, len(inc.live.funcs))
+	held := make([]LiveFunc, 0, len(inc.live.funcs))
+	for name, lf := range inc.live.funcs {
+		held = append(held, *lf)
+		snap.funcs[name] = &held[len(held)-1]
 	}
 
+	t := LiveTable{Threads: len(inc.threads)}
+	var cp threadStack
 	for _, tid := range inc.order {
 		ts := inc.threads[tid]
-		if ts.maxDepth > t.MaxDepth {
-			t.MaxDepth = ts.maxDepth
-		}
-		// Closing proceeds top of stack first; each closed frame's
-		// inclusive time becomes additional child time of the frame
-		// directly beneath it.
-		var childIncl uint64
-		for i := len(ts.stack) - 1; i >= 0; i-- {
-			f := ts.stack[i]
-			var incl uint64
-			if ts.lastTS > f.start {
-				incl = ts.lastTS - f.start
-			}
-			children := f.childTicks + childIncl
-			var self uint64
-			if incl > children {
-				self = incl - children
-			}
-			lf := merged[f.name]
-			lf.Name = f.name
-			lf.Calls += inc.period
-			lf.Incl += incl * inc.period
-			lf.Self += self * inc.period
-			merged[f.name] = lf
-			childIncl = incl
-			t.OpenFrames++
-			t.Calls += inc.period
-			if i == 0 {
-				t.TotalTicks += incl * inc.period
-			}
-		}
+		t.Entries += ts.events
+		t.Unmatched += ts.unmatched
+		t.MaxDepth = max(t.MaxDepth, ts.maxDepth)
+		stack := append(cp.stack[:0], ts.stack...)
+		cp = *ts
+		cp.stack = stack
+		t.OpenFrames += cp.closeAll(&snap)
 	}
+	t.TotalTicks, t.Calls = snap.totalTicks, snap.calls
 
-	t.Funcs = make([]LiveFunc, 0, len(merged))
-	for _, lf := range merged {
-		t.Funcs = append(t.Funcs, lf)
+	t.Funcs = make([]LiveFunc, 0, len(snap.funcs))
+	for _, lf := range snap.funcs {
+		t.Funcs = append(t.Funcs, *lf)
 	}
 	sort.Slice(t.Funcs, func(i, j int) bool {
 		if t.Funcs[i].Self != t.Funcs[j].Self {

@@ -59,31 +59,85 @@ func TestIncrementalMatchesAnalyzeTruncatedAndUnmatched(t *testing.T) {
 }
 
 func TestIncrementalMatchesAnalyzeRandomStream(t *testing.T) {
-	// A randomized multi-thread call/return stream: whatever the offline
-	// analyzer computes, the incremental fold must reproduce exactly.
+	// Randomized multi-thread call/return streams: whatever the offline
+	// analyzer computes over a prefix of the stream, a snapshot of the
+	// incremental fold fed exactly that prefix must reproduce — frames
+	// still open are provisionally closed just as Analyze force-closes
+	// them at the log's end. The mixed cases add stray returns, which are
+	// unmatched or close every frame above their newest match.
 	names := []string{"a", "b", "c", "d", "e"}
-	f := newFixture(t, 4096, names...)
-	rng := rand.New(rand.NewSource(7))
-	now := uint64(0)
-	depth := map[uint64][]string{}
-	for i := 0; i < 2000; i++ {
-		tid := uint64(1 + rng.Intn(3))
-		now += uint64(1 + rng.Intn(5))
-		stack := depth[tid]
-		if len(stack) > 0 && rng.Intn(2) == 0 {
-			name := stack[len(stack)-1]
-			depth[tid] = stack[:len(stack)-1]
-			f.ret(t, tid, name, now)
-		} else {
-			name := names[rng.Intn(len(names))]
-			depth[tid] = append(stack, name)
-			f.call(t, tid, name, now)
+	f := newFixture(t, 1, names...)
+	type streamCase struct {
+		seed  int64
+		mixed bool
+	}
+	cases := []streamCase{{seed: 7}}
+	for seed := int64(1); seed <= 50; seed++ {
+		cases = append(cases, streamCase{seed: seed, mixed: true})
+	}
+	cuts := []int{1, 7, 50, 333, 1000, 1999, 2000}
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(c.seed))
+		stream := make([]shmlog.Entry, cuts[len(cuts)-1])
+		now := uint64(0)
+		depth := map[uint64][]string{}
+		for i := range stream {
+			tid := uint64(1 + rng.Intn(3))
+			now += uint64(1 + rng.Intn(5))
+			stack := depth[tid]
+			e := shmlog.Entry{Kind: shmlog.KindReturn, Counter: now, ThreadID: tid}
+			switch {
+			case c.mixed && rng.Intn(20) == 0:
+				name := names[rng.Intn(len(names))]
+				e.Addr = f.fns[name]
+				for d := len(stack) - 1; d >= 0; d-- {
+					if stack[d] == name {
+						depth[tid] = stack[:d]
+						break
+					}
+				}
+			case len(stack) > 0 && rng.Intn(2) == 0:
+				e.Addr = f.fns[stack[len(stack)-1]]
+				depth[tid] = stack[:len(stack)-1]
+			default:
+				name := names[rng.Intn(len(names))]
+				e.Kind, e.Addr = shmlog.KindCall, f.fns[name]
+				depth[tid] = append(stack, name)
+			}
+			stream[i] = e
+		}
+
+		inc := NewIncremental(f.tab)
+		fed := 0
+		for _, cut := range cuts {
+			inc.FeedAll(stream[fed:cut])
+			fed = cut
+			log, err := shmlog.New(cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range stream[:cut] {
+				if err := log.Append(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p, err := Analyze(log, f.tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := inc.Snapshot(0)
+			assertTablesMatch(t, live, p)
+			if live.Unmatched != p.Unmatched {
+				t.Errorf("seed %d cut %d: Unmatched = %d, offline %d", c.seed, cut, live.Unmatched, p.Unmatched)
+			}
+			if live.OpenFrames != p.Truncated {
+				t.Errorf("seed %d cut %d: OpenFrames = %d, offline force-closed %d", c.seed, cut, live.OpenFrames, p.Truncated)
+			}
+			if t.Failed() {
+				t.Fatalf("seed %d (mixed=%v) diverged at cut %d", c.seed, c.mixed, cut)
+			}
 		}
 	}
-
-	inc := NewIncremental(f.tab)
-	feedAllFromLog(inc, f.log)
-	assertTablesMatch(t, inc.Snapshot(0), f.analyze(t))
 }
 
 func TestIncrementalSnapshotDoesNotPerturbState(t *testing.T) {
