@@ -673,6 +673,53 @@ func BenchmarkLogRead(b *testing.B) {
 	}
 }
 
+// BenchmarkLogReadSharded is BenchmarkLogRead over an 8-shard log written
+// by 8 batched threads taking turns event by event, so every segment
+// interleaves blocks of several threads and the read-time counter merge
+// has many short runs to combine.
+func BenchmarkLogReadSharded(b *testing.B) {
+	const entries, shards, threads, batch = 1 << 20, 8, 8, 32
+	// Each segment may host every thread; leave room for skewed hashing.
+	log, err := shmlog.New(shards*entries/2, shmlog.WithShards(shards))
+	if err != nil {
+		b.Fatal(err)
+	}
+	type block struct {
+		slot uint64
+		left int
+	}
+	blocks := make([]block, threads)
+	for i := 0; i < entries; i++ {
+		tid := uint64(i%threads) + 1
+		blk := &blocks[tid-1]
+		if blk.left == 0 {
+			blk.slot, blk.left = log.ReserveShard(log.ShardOf(tid), batch)
+			if blk.left == 0 {
+				b.Fatal("segment full")
+			}
+		}
+		kind := shmlog.KindCall
+		if (i/threads)%2 == 1 {
+			kind = shmlog.KindReturn
+		}
+		log.Commit(blk.slot, shmlog.Entry{Kind: kind, Counter: uint64(i + 1), Addr: 0x400000 + uint64(i%64)*16, ThreadID: tid})
+		blk.slot++
+		blk.left--
+	}
+	var buf bytes.Buffer
+	if _, err := log.WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := shmlog.Read(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAnalyzerParallel measures stage-3 throughput with the
 // worker-pool analyzer on a multi-thread log, against the same log
 // analyzed serially (the Parallelism=1 subbench).

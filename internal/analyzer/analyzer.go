@@ -14,6 +14,7 @@ import (
 	"sort"
 	"sync"
 
+	"teeperf/internal/runmerge"
 	"teeperf/internal/shmlog"
 	"teeperf/internal/symtab"
 )
@@ -162,6 +163,8 @@ type closedRec struct {
 	at       int
 }
 
+func closeTag(cr *closedRec) uint64 { return uint64(cr.at) }
+
 // threadResult is one thread's reconstruction: its stack machine and, as
 // the machine's sink, the records it closed, each tagged for the merge.
 type threadResult struct {
@@ -301,8 +304,10 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 	// Phase 3 (serial): merge deterministically. Records carry the global
 	// index of their closing entry; at most one thread closes records at any
 	// given index, and within a thread the worker emitted them in order, so
-	// a stable sort reproduces the serial close order exactly.
+	// merging the per-thread lists by that tag reproduces the serial close
+	// order exactly.
 	total := 0
+	parts := make([][]closedRec, len(results))
 	for oi := range results {
 		r := &results[oi]
 		stat := ThreadStat{
@@ -317,15 +322,10 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 		p.Truncated += r.truncated
 		p.Unmatched += r.ts.unmatched
 		total += len(r.recs)
+		parts[oi] = r.recs
 	}
-	merged := make([]closedRec, 0, total)
-	for oi := range results {
-		merged = append(merged, results[oi].recs...)
-	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].at < merged[j].at })
-	p.records = make([]Record, 0, len(merged))
-	for i := range merged {
-		cr := &merged[i]
+	p.records = make([]Record, 0, total)
+	runmerge.Each(parts, closeTag, func(cr *closedRec) {
 		cr.rec.Incl *= period
 		cr.rec.Self *= period
 		p.records = append(p.records, cr.rec)
@@ -346,7 +346,7 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 		pa.incl += cr.rec.Incl
 		pa.self += cr.rec.Self
 		p.accumulate(cr.rec, period)
-	}
+	})
 
 	sort.Slice(p.threads, func(i, j int) bool { return p.threads[i].ID < p.threads[j].ID })
 	sort.Slice(p.funcs, func(i, j int) bool {

@@ -165,3 +165,44 @@ func TestAnalyzeDismissesHolesAndTombstones(t *testing.T) {
 		t.Fatalf("records = %+v, want one clean 4-tick execution of f", recs)
 	}
 }
+
+// TestRecordsInCloseOrder pins Profile.Records to the serial close order
+// across threads, at any parallelism: the log's counters rise with the log
+// index, so records closed by a log entry come first with nondecreasing End,
+// followed by the frames force-closed at the log end, thread by thread in
+// order of each thread's first entry.
+func TestRecordsInCloseOrder(t *testing.T) {
+	log, tab := buildRandomizedLog(t, 20000)
+	discovered := make(map[uint64]int)
+	for _, e := range log.Entries() {
+		if _, ok := discovered[e.ThreadID]; !ok {
+			discovered[e.ThreadID] = len(discovered)
+		}
+	}
+	for _, par := range []int{1, 3} {
+		p, err := AnalyzeWith(log, tab, Options{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lastEnd uint64
+		forced, thread := false, -1
+		for i, r := range p.Records() {
+			if !r.Truncated {
+				if forced || r.End < lastEnd {
+					t.Fatalf("parallelism %d: record %d (thread %d, end %d) out of close order", par, i, r.Thread, r.End)
+				}
+				lastEnd = r.End
+				continue
+			}
+			forced = true
+			if d := discovered[r.Thread]; d < thread {
+				t.Fatalf("parallelism %d: forced close %d of thread %d after a later-discovered thread's", par, i, r.Thread)
+			} else {
+				thread = d
+			}
+		}
+		if !forced {
+			t.Fatal("fixture leaves no frames open")
+		}
+	}
+}

@@ -145,16 +145,20 @@ func (p *Profiler) SampleNow() {
 	}
 }
 
-// Stop halts the background sampler.
+// Stop halts the background sampler. It waits for the sampler goroutine
+// without holding p.mu: a tick that races the stop signal runs SampleNow,
+// which takes p.mu.
 func (p *Profiler) Stop() error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if !p.running {
+		p.mu.Unlock()
 		return ErrNotRunning
 	}
-	close(p.stop)
-	<-p.done
 	p.running = false
+	stop, done := p.stop, p.done
+	p.mu.Unlock()
+	close(stop)
+	<-done
 	return nil
 }
 

@@ -155,6 +155,31 @@ func TestBackgroundSamplerLifecycle(t *testing.T) {
 	}
 }
 
+// TestStopRacingTick stops a sampler whose ticker is always ready, so the
+// loop often picks the tick over the stop signal and runs SampleNow while
+// Stop is waiting for it. Stop must not hold the lock SampleNow needs.
+func TestStopRacingTick(t *testing.T) {
+	p := New(WithPeriod(time.Microsecond))
+	p.Thread(nil).Enter(0x42)
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for i := 0; i < 2000; i++ {
+			p.Start()
+			time.Sleep(5 * time.Microsecond)
+			if err := p.Stop(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Stop deadlocked against a concurrent tick")
+	}
+}
+
 // TestSamplingFrequencyBias demonstrates the paper's accuracy argument
 // deterministically: two functions each take exactly half the execution time,
 // but the workload's phase aligns with the sampling period so the sampler

@@ -78,3 +78,47 @@ func BenchmarkStoreQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreCompact measures one compaction step merging 16 L0 tables
+// into one (block reads, counter merge, table write, manifest commit). The
+// 16 segments are one thread each over one shared clock, taking turns
+// event by event as a fleet's sessions do, so their windows overlap and the
+// merge interleaves all 16 at every step.
+func BenchmarkStoreCompact(b *testing.B) {
+	const tables, perTable = 16, 6000
+	tab := symtab.New()
+	addr := tab.MustRegister("pp_a", 16, "bench_test.go", 1)
+	logs := make([]*shmlog.Log, tables)
+	for t := range logs {
+		entries := make([]shmlog.Entry, perTable)
+		for i := range entries {
+			kind := shmlog.KindCall
+			if i%2 == 1 {
+				kind = shmlog.KindReturn
+			}
+			entries[i] = shmlog.Entry{Kind: kind, Counter: uint64(i*tables + t + 1), Addr: addr, ThreadID: uint64(t + 1)}
+		}
+		logs[t] = shmlog.FromEntries(entries, 4242, 0, 1)
+	}
+	b.SetBytes(int64(tables * perTable * entryBytes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := Open(b.TempDir(), Options{Fanout: tables})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for t, log := range logs {
+			if _, err := st.IngestLog(log, tab, fmt.Sprintf("seg-%d", t)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if ran, err := st.MaybeCompact(); err != nil || !ran {
+			b.Fatalf("MaybeCompact = %v, %v", ran, err)
+		}
+		b.StopTimer()
+		st.Close()
+		b.StartTimer()
+	}
+}

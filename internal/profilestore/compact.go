@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"teeperf/internal/runmerge"
 	"teeperf/internal/shmlog"
 )
 
@@ -162,8 +163,9 @@ func (s *Store) Compact() error {
 // one shape.
 func (s *Store) mergeLocked(inputs []TableMeta, outLevel int) error {
 	shape := shapeOf(inputs[0])
-	var entries []shmlog.Entry
+	var blocks [][]shmlog.Entry
 	var segments []string
+	total := 0
 	s.mu.RLock()
 	readers := make([]*Table, len(inputs))
 	for i, tm := range inputs {
@@ -184,13 +186,16 @@ func (s *Store) mergeLocked(inputs []TableMeta, outLevel int) error {
 			if err != nil {
 				return err
 			}
-			entries = append(entries, blk...)
+			blocks = append(blocks, blk)
+			total += len(blk)
 		}
 		segments = append(segments, tm.Segments...)
 	}
-	// Inputs are concatenated in (MinCounter, Seq) order; the stable sort
-	// keeps that order among equal counters (the earlier-table tie-break).
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Counter < entries[j].Counter })
+	// Each input table is one counter-ordered run, and the inputs come in
+	// (MinCounter, Seq) order; the run merge keeps that order among equal
+	// counters (the earlier-table tie-break), as a stable sort would.
+	entries := make([]shmlog.Entry, 0, total)
+	runmerge.Each(blocks, entryCounter, func(e *shmlog.Entry) { entries = append(entries, *e) })
 	sort.Strings(segments)
 
 	seq := s.man.NextTable

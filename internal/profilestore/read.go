@@ -3,9 +3,9 @@ package profilestore
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"teeperf/internal/analyzer"
+	"teeperf/internal/runmerge"
 	"teeperf/internal/shmlog"
 	"teeperf/internal/symtab"
 )
@@ -93,10 +93,11 @@ func (s *Store) Profile(tid, from, to uint64) (*analyzer.Profile, error) {
 			}
 		}
 	}
-	// Tables were visited in (MinCounter, Seq) order; the stable sort
-	// merges them by counter with that order breaking ties, preserving
-	// per-thread sequences (see the compaction commentary).
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Counter < entries[j].Counter })
+	// Each table's filtered entries are one counter-ordered run, visited in
+	// (MinCounter, Seq) order; the run merge orders them by counter with
+	// that order breaking ties, preserving per-thread sequences (see the
+	// compaction commentary). A one-table window passes through.
+	entries = runmerge.Sorted(entries, entryCounter)
 
 	log := shmlog.FromEntries(entries, shape.pid, shape.profilerAddr, shape.samplePeriod)
 	if tab == nil {

@@ -11,6 +11,7 @@ import (
 
 	"teeperf/internal/faultinject"
 	"teeperf/internal/recorder"
+	"teeperf/internal/runmerge"
 	"teeperf/internal/shmlog"
 	"teeperf/internal/symtab"
 )
@@ -313,6 +314,8 @@ func sortTables(tms []TableMeta) {
 	})
 }
 
+func entryCounter(e *shmlog.Entry) uint64 { return e.Counter }
+
 // Stats snapshots the store gauges.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
@@ -351,12 +354,13 @@ func (s *Store) IngestLog(log *shmlog.Log, tab *symtab.Table, segmentID string) 
 	if segmentID == "" {
 		return IngestResult{}, fmt.Errorf("profilestore: empty segment ID")
 	}
-	entries := log.CommittedEntries()
-	// Stable sort by counter: blocks must be counter-ordered for the index
-	// to prune windows. Per-thread order — the analyzer's only ordering
-	// dependency — survives because each thread's counters are
-	// nondecreasing in reader order.
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Counter < entries[j].Counter })
+	// Blocks must be counter-ordered for the index to prune windows. A log
+	// already in counter order (a merged multi-segment bundle, or any
+	// unbatched recording) passes through after one scan; batched blocks
+	// are merged as a stable sort by counter would order them. Per-thread
+	// order — the analyzer's only ordering dependency — survives because
+	// each thread's counters are nondecreasing in reader order.
+	entries := runmerge.Sorted(log.CommittedEntries(), entryCounter)
 
 	s.wmu.Lock()
 	defer s.wmu.Unlock()

@@ -2,8 +2,11 @@ package profilestore
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -255,6 +258,71 @@ func TestStoreCompactionPolicy(t *testing.T) {
 	}
 	if tables != 1 || manifests != 1 {
 		t.Fatalf("steady-state dir holds %d tables, %d manifests", tables, manifests)
+	}
+}
+
+// TestStoreCompactionMatchesStableSort pins the compaction merge against
+// its oracle: the compacted table holds exactly a stable sort by counter of
+// its inputs' entries concatenated in (MinCounter, Seq) order. The inputs
+// overlap in time and share counter values across tables and threads, so
+// the tie-break is exercised.
+func TestStoreCompactionMatchesStableSort(t *testing.T) {
+	tab, addrs := testSyms(t)
+	st := mustOpen(t, t.TempDir(), Options{Fanout: 64, BlockEntries: 5})
+	rng := rand.New(rand.NewSource(3))
+	for seg := 0; seg < 6; seg++ {
+		var entries []shmlog.Entry
+		for tid := uint64(1); tid <= 3; tid++ {
+			tick := uint64(rng.Intn(40))
+			for i := 0; i < 30+rng.Intn(30); i++ {
+				tick += uint64(rng.Intn(3))
+				kind := shmlog.KindCall
+				if i%2 == 1 {
+					kind = shmlog.KindReturn
+				}
+				entries = append(entries, shmlog.Entry{Kind: kind, Counter: tick, Addr: addrs[rng.Intn(len(addrs))], ThreadID: tid})
+			}
+		}
+		if _, err := st.IngestLog(shmlog.FromEntries(entries, 4242, 0, 1), tab, fmt.Sprintf("s%d", seg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tableEntries := func(tm TableMeta) []shmlog.Entry {
+		t.Helper()
+		tbl := st.tables[tm.Seq]
+		var out []shmlog.Entry
+		for b := 0; b < tbl.Blocks(); b++ {
+			blk, err := tbl.ReadBlock(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, blk...)
+		}
+		return out
+	}
+	inputs := append([]TableMeta(nil), st.man.Tables...)
+	sortTables(inputs)
+	var want []shmlog.Entry
+	for _, tm := range inputs {
+		want = append(want, tableEntries(tm)...)
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Counter < want[j].Counter })
+
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(st.man.Tables); n != 1 {
+		t.Fatalf("%d tables after full compaction, want 1", n)
+	}
+	got := tableEntries(st.man.Tables[0])
+	if len(got) != len(want) {
+		t.Fatalf("compacted table holds %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -61,6 +61,12 @@ func WriteBundle(w io.Writer, tab *symtab.Table, log *shmlog.Log) error {
 
 // ReadBundle decodes a bundle written by WriteBundle.
 func ReadBundle(r io.Reader) (*symtab.Table, *shmlog.Log, error) {
+	return readBundle(r, -1)
+}
+
+// readBundle decodes a bundle from a stream of size bytes, or of unknown
+// size when size is negative.
+func readBundle(r io.Reader, size int64) (*symtab.Table, *shmlog.Log, error) {
 	br := bufio.NewReader(r)
 	header, err := readLine(br)
 	if err != nil {
@@ -70,7 +76,7 @@ func ReadBundle(r io.Reader) (*symtab.Table, *shmlog.Log, error) {
 		return nil, nil, fmt.Errorf("%w: header %q", ErrBadBundle, header)
 	}
 
-	symBytes, err := readSection(br, "syms")
+	symBytes, err := readSection(br, "syms", size)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -79,7 +85,7 @@ func ReadBundle(r io.Reader) (*symtab.Table, *shmlog.Log, error) {
 		return nil, nil, fmt.Errorf("%w: symbols: %v", ErrBadBundle, err)
 	}
 
-	logBytes, err := readSection(br, "log")
+	logBytes, err := readSection(br, "log", size)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -97,7 +103,11 @@ func ReadBundleFile(path string) (*symtab.Table, *shmlog.Log, error) {
 		return nil, nil, fmt.Errorf("recorder: open bundle: %w", err)
 	}
 	defer f.Close()
-	return ReadBundle(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, fmt.Errorf("recorder: stat bundle: %w", err)
+	}
+	return readBundle(f, fi.Size())
 }
 
 // ReadBundleLenient decodes a possibly torn bundle (e.g. a .part file a
@@ -114,7 +124,7 @@ func ReadBundleLenient(r io.Reader) (*symtab.Table, *shmlog.Log, *shmlog.Recover
 	if err != nil || header != bundleHeader {
 		return nil, nil, nil, fmt.Errorf("%w: unrecoverable: no bundle header", ErrBadBundle)
 	}
-	symBytes, err := readSection(br, "syms")
+	symBytes, err := readSection(br, "syms", -1)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("%w: unrecoverable: torn before the log section", ErrBadBundle)
 	}
@@ -135,7 +145,17 @@ func ReadBundleLenient(r io.Reader) (*symtab.Table, *shmlog.Log, *shmlog.Recover
 	return tab, log, rep, err
 }
 
-func readSection(br *bufio.Reader, want string) ([]byte, error) {
+// sectionChunk caps the buffer readSection allocates before any section
+// bytes arrive from a stream of unknown size; past it, the buffer grows
+// with the data.
+const sectionChunk = 64 << 10
+
+// readSection reads one section of a stream of size bytes (negative when
+// unknown). A declared length is only a claim: it is checked against a
+// known size before anything is allocated, and otherwise the buffer grows
+// with the bytes that actually arrive, so a forged length fails at the end
+// of the stream instead of allocating what it promises.
+func readSection(br *bufio.Reader, want string, size int64) ([]byte, error) {
 	line, err := readLine(br)
 	if err != nil {
 		return nil, fmt.Errorf("%w: section header: %v", ErrBadBundle, err)
@@ -149,12 +169,23 @@ func readSection(br *bufio.Reader, want string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: section length %q", ErrBadBundle, fields[2])
 	}
 	const maxSection = 1 << 31
-	if n > maxSection {
+	if n > maxSection || size >= 0 && int64(n) > size {
 		return nil, fmt.Errorf("%w: section length %d too large", ErrBadBundle, n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(br, data); err != nil {
-		return nil, fmt.Errorf("%w: section body: %v", ErrBadBundle, err)
+	ahead := n
+	if size < 0 {
+		ahead = min(n, sectionChunk)
+	}
+	data := make([]byte, 0, ahead)
+	for len(data) < n {
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+		k, err := io.ReadFull(br, data[len(data):min(cap(data), n)])
+		data = data[:len(data)+k]
+		if err != nil {
+			return nil, fmt.Errorf("%w: section body: %v", ErrBadBundle, err)
+		}
 	}
 	return data, nil
 }

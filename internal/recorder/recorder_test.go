@@ -3,6 +3,8 @@ package recorder
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -340,6 +342,58 @@ func TestReadBundleErrors(t *testing.T) {
 				t.Fatalf("err = %v, want ErrBadBundle", err)
 			}
 		})
+	}
+}
+
+// TestReadBundleForgedLengthBoundedMemory feeds bundles whose declared
+// section lengths promise up to 2 GiB that never arrive. The strict, file
+// and lenient readers must each fail with ErrBadBundle without allocating
+// what the header claims.
+func TestReadBundleForgedLengthBoundedMemory(t *testing.T) {
+	var syms bytes.Buffer
+	if _, err := symtab.New().WriteTo(&syms); err != nil {
+		t.Fatal(err)
+	}
+	forged := map[string]string{
+		"syms": "TEEPERF-BUNDLE 1\nsection syms 2147483647\nxx",
+		"log":  fmt.Sprintf("TEEPERF-BUNDLE 1\nsection syms %d\n%ssection log 2147483647\nxx", syms.Len(), syms.String()),
+	}
+	readers := map[string]func(t *testing.T, input string) error{
+		"strict": func(t *testing.T, input string) error {
+			_, _, err := ReadBundle(strings.NewReader(input))
+			return err
+		},
+		"file": func(t *testing.T, input string) error {
+			path := filepath.Join(t.TempDir(), "forged.teeperf")
+			if err := os.WriteFile(path, []byte(input), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := ReadBundleFile(path)
+			return err
+		},
+		"lenient": func(t *testing.T, input string) error {
+			_, _, _, err := ReadBundleLenient(strings.NewReader(input))
+			return err
+		},
+	}
+	for rname, read := range readers {
+		for fname, input := range forged {
+			if rname == "lenient" && fname == "log" {
+				continue // the lenient reader ignores the log section's length
+			}
+			t.Run(rname+"/"+fname, func(t *testing.T) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := read(t, input)
+				runtime.ReadMemStats(&after)
+				if !errors.Is(err, ErrBadBundle) {
+					t.Fatalf("err = %v, want ErrBadBundle", err)
+				}
+				if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+					t.Fatalf("allocated %d bytes for a forged length", d)
+				}
+			})
+		}
 	}
 }
 

@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
+
+	"teeperf/internal/runmerge"
 )
 
 // Corruption classifies one kind of damage ReadLenient detected and
@@ -139,9 +140,9 @@ const knownFlags = FlagActive | FlagMultithread | EventCall | EventReturn | Flag
 type lenientSalvage struct {
 	rep     *RecoveryReport
 	entries []Entry
-	// counters carries each admitted entry's raw counter value so sharded
-	// streams can be merged after all segments are walked.
-	counters []uint64
+	// merge is set when entries concatenate more than one segment and must
+	// be merged by counter, exactly as the strict Read's segment merge.
+	merge bool
 	// segHeaderBytes counts the segment-header bytes actually read by the
 	// sharded walk, so BytesSalvaged accounts for them.
 	segHeaderBytes int64
@@ -215,7 +216,6 @@ func (ls *lenientSalvage) admitRegion(body []byte, tail, capacity uint64) {
 			e.Kind = KindReturn
 		}
 		ls.entries = append(ls.entries, e)
-		ls.counters = append(ls.counters, word0&counterMask)
 	}
 }
 
@@ -379,12 +379,17 @@ func ReadLenient(r io.Reader) (*Log, *RecoveryReport, error) {
 		return nil, nil, err
 	}
 	out.srcVersion = rep.SourceVersion
-	for _, e := range entries {
-		slot, n := out.Reserve(1)
-		if n == 0 {
-			break
+	commit := func(e *Entry) {
+		if slot, n := out.Reserve(1); n != 0 {
+			out.Commit(slot, *e)
 		}
-		out.Commit(slot, e)
+	}
+	if ls.merge {
+		runmerge.Each([][]Entry{entries}, entryCounter, commit)
+	} else {
+		for i := range entries {
+			commit(&entries[i])
+		}
 	}
 	out.AddCounter(counterVal)
 	return out, rep, nil
@@ -406,9 +411,7 @@ func salvageSharded(ls *lenientSalvage, body []byte, capacity, shardsWord uint64
 	}
 	// A single segment is already in slot order; only a multi-segment
 	// stream needs the counter merge.
-	if segs > 1 {
-		mergeSalvaged(ls)
-	}
+	ls.merge = segs > 1
 }
 
 // walkSegments walks a v3 body — per-segment headers followed by that
@@ -470,23 +473,7 @@ func mergeReport(dst, src *RecoveryReport) {
 	}
 }
 
-// mergeSalvaged orders the salvaged entries of a sharded stream by their
-// global counter values (stable over segment walk order), exactly as the
-// strict Read's segment merge — preserving per-thread order, since each
-// thread's entries live in one segment with nondecreasing counters.
-func mergeSalvaged(ls *lenientSalvage) {
-	entries, counters := ls.entries, ls.counters
-	idx := make([]int, len(entries))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return counters[idx[a]] < counters[idx[b]] })
-	sorted := make([]Entry, len(entries))
-	for out, i := range idx {
-		sorted[out] = entries[i]
-	}
-	ls.entries = sorted
-}
+func entryCounter(e *Entry) uint64 { return e.Counter }
 
 // emptyRecovered builds the zero-entry recovered log ReadLenient returns
 // when nothing was salvageable: still a valid, loadable log so downstream

@@ -2,7 +2,9 @@ package shmlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -279,6 +281,164 @@ func TestShardedPersistMergesByCounter(t *testing.T) {
 				t.Fatalf("shards=%d: entry %d = %+v, want %+v (merge not counter-ordered)",
 					shards, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestShardedDecodeMatchesStableSort pins the read-time merge against its
+// oracle: for batched multi-thread logs over 2-8 shards, with counter ties
+// across threads, in-flight holes and tombstones carrying stale counters,
+// Read yields exactly the slot order of a stable sort by counter of the
+// persisted slots in segment walk order, and ReadLenient exactly that
+// order's committed entries.
+func TestShardedDecodeMatchesStableSort(t *testing.T) {
+	for _, shards := range []int{2, 3, 5, 8} {
+		for _, batch := range []int{2, 4, 16} {
+			for seed := int64(1); seed <= 4; seed++ {
+				t.Run(fmt.Sprintf("shards=%d,batch=%d,seed=%d", shards, batch, seed), func(t *testing.T) {
+					checkShardedDecodeOracle(t, shardedOracleLog(t, shards, batch, seed))
+				})
+			}
+		}
+	}
+}
+
+// shardedOracleLog drives a seeded interleaving of batched writers. The
+// shared clock advances by 0-2 per event, so different threads commit
+// equal counters; per thread, counters are nondecreasing. Some blocks are
+// released early (tombstones), and every writer's last block is left with
+// reserved slots that never commit (in-flight holes). Uncommitted slots
+// get stale counter words, as a writer interrupted between its stores
+// leaves them.
+func shardedOracleLog(t *testing.T, shards, batch int, seed int64) *Log {
+	t.Helper()
+	const threads, events = 7, 120
+	rng := rand.New(rand.NewSource(seed))
+	// Every thread may hash onto one segment, and each early release
+	// wastes up to a block.
+	l, err := New(shards*threads*events*batch, WithShards(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type writer struct {
+		slot       uint64
+		left, done int
+	}
+	ws := make([]writer, threads)
+	stale := func(slot uint64) {
+		atomic.StoreUint64(&l.words[l.slotWordIdx(slot)], uint64(rng.Intn(3*threads*events)))
+	}
+	clock := uint64(1)
+	for busy := threads; busy > 0; {
+		i := rng.Intn(threads)
+		w := &ws[i]
+		if w.done == events {
+			continue
+		}
+		tid := uint64(i + 1)
+		if w.left == 0 {
+			slot, n := l.ReserveShard(l.ShardOf(tid), batch)
+			if n == 0 {
+				t.Fatalf("thread %d: segment full", tid)
+			}
+			w.slot, w.left = slot, n
+		}
+		clock += uint64(rng.Intn(3))
+		kind := KindCall
+		if rng.Intn(2) == 0 {
+			kind = KindReturn
+		}
+		l.Commit(w.slot, Entry{Kind: kind, Counter: clock, Addr: 0x100 + uint64(rng.Intn(4)), ThreadID: tid})
+		w.slot++
+		w.left--
+		w.done++
+		if w.left > 0 && (w.done == events || rng.Intn(8) == 0) {
+			// Release the rest of the block, except that a finished
+			// writer's last block stays in flight half of the time.
+			inFlight := w.done == events && rng.Intn(2) == 0
+			for ; w.left > 0; w.left-- {
+				stale(w.slot)
+				if !inFlight {
+					l.Release(w.slot)
+				}
+				w.slot++
+			}
+		}
+		if w.done == events {
+			busy--
+		}
+	}
+	return l
+}
+
+func checkShardedDecodeOracle(t *testing.T, l *Log) {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := l.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+
+	// The oracle: the persisted slots in segment walk order, stable-sorted
+	// by counter.
+	var slots []rawSlot
+	off := HeaderSize
+	for s := 0; s < l.Shards(); s++ {
+		n := int(binary.LittleEndian.Uint64(data[off+segWordTail*8:]))
+		off += SegHeaderSize
+		for i := 0; i < n; i++ {
+			slots = append(slots, rawSlot{
+				w0: binary.LittleEndian.Uint64(data[off:]),
+				w1: binary.LittleEndian.Uint64(data[off+8:]),
+				w2: binary.LittleEndian.Uint64(data[off+16:]),
+			})
+			off += EntrySize
+		}
+	}
+	sort.SliceStable(slots, func(i, j int) bool { return slots[i].w0&counterMask < slots[j].w0&counterMask })
+	var holes int
+	var committed []Entry
+	for _, s := range slots {
+		if s.w2 == 0 || s.w2 == TombstoneTID {
+			holes++
+			continue
+		}
+		e := Entry{Kind: KindCall, Counter: s.w0 & counterMask, Addr: s.w1, ThreadID: s.w2}
+		if s.w0&kindBit != 0 {
+			e.Kind = KindReturn
+		}
+		committed = append(committed, e)
+	}
+	if holes == 0 {
+		t.Fatal("fixture has no uncommitted slots")
+	}
+
+	strict, err := Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strict.Len() != len(slots) {
+		t.Fatalf("Read: %d slots, want %d", strict.Len(), len(slots))
+	}
+	for i, s := range slots {
+		base := HeaderWords + SegHeaderWords + i*EntryWords
+		got := rawSlot{w0: strict.words[base], w1: strict.words[base+1], w2: strict.words[base+2]}
+		if got != s {
+			t.Fatalf("Read: slot %d = %+v, want %+v", i, got, s)
+		}
+	}
+
+	lenient, _, err := ReadLenient(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := lenient.Entries()
+	if len(got) != len(committed) {
+		t.Fatalf("ReadLenient: %d entries, want %d", len(got), len(committed))
+	}
+	for i := range committed {
+		if got[i] != committed[i] {
+			t.Fatalf("ReadLenient: entry %d = %+v, want %+v", i, got[i], committed[i])
 		}
 	}
 }

@@ -67,6 +67,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"teeperf/internal/runmerge"
 )
 
 // Layout constants. The on-disk representation is little-endian 64-bit
@@ -1252,18 +1254,25 @@ func (l *Log) encodeTo(w io.Writer) error {
 
 var _ io.WriterTo = (*Log)(nil)
 
-// rawSlot is one persisted slot's raw words plus its merge key, used while
-// decoding a sharded stream.
+// rawSlot is one persisted slot's raw words, collected while decoding.
 type rawSlot struct {
 	w0, w1, w2 uint64
-	seg        int
-	local      int
 }
 
 // buildDecoded assembles a decoded single-segment log from raw slot words.
 // The result is normalized to the current in-memory layout (one segment
 // whose tail and capacity equal the slot count) with recording disabled.
-func buildDecoded(slots []rawSlot, srcVersion, pid, profilerAddr, flags, counter, samplePeriod uint64) *Log {
+//
+// merge says the slots are a sharded stream's segments concatenated in walk
+// order: they are then written in global counter order, ties keeping
+// (segment, slot) order. Each thread's entries live in one segment with
+// nondecreasing counters in slot order, so the merged stream preserves
+// per-thread order — analyzer output over it is byte-identical to a
+// single-segment recording. Slots that never committed (zero or tombstone
+// markers, counter word 0 or stale) ride along and are dismissed by readers
+// exactly as in a single-segment log. A single segment is already in slot
+// order and is written as it is.
+func buildDecoded(slots []rawSlot, merge bool, srcVersion, pid, profilerAddr, flags, counter, samplePeriod uint64) *Log {
 	n := len(slots)
 	l := &Log{
 		words:      make([]uint64, HeaderWords+SegHeaderWords+n*EntryWords),
@@ -1286,6 +1295,16 @@ func buildDecoded(slots []rawSlot, srcVersion, pid, profilerAddr, flags, counter
 	h := HeaderWords
 	l.words[h+segWordTail] = uint64(n)
 	l.words[h+segWordCapacity] = uint64(n)
+	if merge {
+		base := h + SegHeaderWords
+		runmerge.Each([][]rawSlot{slots}, slotCounter, func(s *rawSlot) {
+			l.words[base] = s.w0
+			l.words[base+1] = s.w1
+			l.words[base+2] = s.w2
+			base += EntryWords
+		})
+		return l
+	}
 	for i, s := range slots {
 		base := h + SegHeaderWords + i*EntryWords
 		l.words[base] = s.w0
@@ -1295,20 +1314,7 @@ func buildDecoded(slots []rawSlot, srcVersion, pid, profilerAddr, flags, counter
 	return l
 }
 
-// mergeSlots orders persisted slots by the global counter value, breaking
-// ties by (segment, local slot). Collection order is (segment, local), so a
-// stable sort by counter alone yields exactly that key. Each thread's
-// entries live in one segment with nondecreasing counters in local-slot
-// order, so the merged stream preserves per-thread order — analyzer output
-// over the merged stream is byte-identical to a single-segment recording.
-// Slots that never committed (zero or tombstone markers, counter word 0 or
-// stale) ride along and are dismissed by readers exactly as in a
-// single-segment log.
-func mergeSlots(slots []rawSlot) {
-	sort.SliceStable(slots, func(i, j int) bool {
-		return slots[i].w0&counterMask < slots[j].w0&counterMask
-	})
-}
+func slotCounter(s *rawSlot) uint64 { return s.w0 & counterMask }
 
 // maxEntries bounds the entry counts decoders trust from a header before
 // the body bytes back them up.
@@ -1390,11 +1396,11 @@ func readFlat(r io.Reader, srcVersion, flags, pid, profilerAddr, counter, capaci
 		return nil, fmt.Errorf("shmlog: unreasonable capacity %d", capacity)
 	}
 	slots := make([]rawSlot, 0, clampEntries(tail))
-	if err := readSlots(r, &slots, int(tail), 0); err != nil {
+	if err := readSlots(r, &slots, int(tail)); err != nil {
 		return nil, err
 	}
 	// v1/v2 predate the sampling-period word: always a full recording.
-	return buildDecoded(slots, srcVersion, pid, profilerAddr, flags, counter, 0), nil
+	return buildDecoded(slots, false, srcVersion, pid, profilerAddr, flags, counter, 0), nil
 }
 
 // readSharded decodes a v3 body: per-segment headers and compacted entry
@@ -1431,33 +1437,26 @@ func readSharded(r io.Reader, word func(int) uint64) (*Log, error) {
 		}
 		// The persisted segment body holds segCap slots (compacted streams
 		// have segCap == segTail); only the reserved prefix carries data.
-		if err := readSlots(r, &slots, int(segCap), s); err != nil {
+		if err := readSlots(r, &slots, int(segCap)); err != nil {
 			return nil, err
 		}
 		// Drop never-reserved slots above the tail from the decoded view.
 		keep := len(slots) - (int(segCap) - int(segTail))
 		slots = slots[:keep]
 	}
-	// A single segment is already in slot order; only a multi-segment
-	// stream needs the counter merge.
-	if shards > 1 {
-		mergeSlots(slots)
-	}
-	return buildDecoded(slots, Version,
+	return buildDecoded(slots, shards > 1, Version,
 		word(wordPID), word(wordProfilerAddr), word(wordFlags), word(wordCounter),
 		word(wordSamplePeriod)), nil
 }
 
-// readSlots reads n entry slots from r and appends them to *slots tagged
-// with their segment and local index. It reads incrementally so a forged
+// readSlots reads n entry slots from r and appends them to *slots. It reads incrementally so a forged
 // header claiming billions of entries fails at the first missing byte
 // instead of pre-allocating the claimed size.
-func readSlots(r io.Reader, slots *[]rawSlot, n, seg int) error {
+func readSlots(r io.Reader, slots *[]rawSlot, n int) error {
 	// Whole entries per chunk: 64 KiB is not a multiple of the 24-byte
 	// entry size, so round down.
 	chunk := make([]byte, (bulkBufSize/EntrySize)*EntrySize)
 	remaining := int64(n) * EntrySize
-	local := 0
 	for remaining > 0 {
 		want := int64(len(chunk))
 		if remaining < want {
@@ -1471,13 +1470,10 @@ func readSlots(r io.Reader, slots *[]rawSlot, n, seg int) error {
 		}
 		for off := int64(0); off < want; off += EntrySize {
 			*slots = append(*slots, rawSlot{
-				w0:    binary.LittleEndian.Uint64(chunk[off:]),
-				w1:    binary.LittleEndian.Uint64(chunk[off+8:]),
-				w2:    binary.LittleEndian.Uint64(chunk[off+16:]),
-				seg:   seg,
-				local: local,
+				w0: binary.LittleEndian.Uint64(chunk[off:]),
+				w1: binary.LittleEndian.Uint64(chunk[off+8:]),
+				w2: binary.LittleEndian.Uint64(chunk[off+16:]),
 			})
-			local++
 		}
 		remaining -= want
 	}
