@@ -335,6 +335,26 @@ func BenchmarkProbePair(b *testing.B) {
 	}
 }
 
+// BenchmarkProbePairVirtual is BenchmarkProbePair on the Virtual counter
+// (one fetch-and-add per read), which keeps runtime.nanotime out of the
+// figure and leaves the probe's own reserve-and-commit path.
+func BenchmarkProbePairVirtual(b *testing.B) {
+	log, err := shmlog.New(2*b.N + 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := probe.New(log, counter.NewVirtual(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	th := rt.Thread()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.Enter(0x400100)
+		th.Exit(0x400100)
+	}
+}
+
 // BenchmarkPerfPublishPair is the perf baseline's per-call cost (leaf
 // publication only), for comparison with BenchmarkProbePair.
 func BenchmarkPerfPublishPair(b *testing.B) {

@@ -174,56 +174,73 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 // busy handshake must keep block state untorn. Run under -race this is the
 // regression test for the Stop/Flush data race: every event is either
 // committed intact or dropped, never half-written, and per-thread order
-// survives the interleaved flushes.
+// survives the interleaved flushes. Unbatched probes take no handshake:
+// flushes have no block to release there, so under -race the unbatched
+// case pins that they touch no probe-owned state, and no event is lost.
 func TestFlushConcurrentWithProbe(t *testing.T) {
 	const events = 5000
-	rt := newRuntime(t, events+512, WithBatch(8))
-	th := rt.Thread()
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"batch8", []Option{WithBatch(8)}},
+		{"unbatched", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRuntime(t, events+512, tc.opts...)
+			th := rt.Thread()
 
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < events; i++ {
-			th.Enter(uint64(0x100 + i%16))
-		}
-		close(done)
-	}()
-	for flushing := true; flushing; {
-		rt.Flush()
-		rt.FlushLog(rt.Log())
-		// Yield between flush rounds: on a single-CPU box a saturating
-		// flusher can hold the busy flag whenever the probing goroutine is
-		// scheduled, starving every event into the drop path and leaving
-		// nothing for the integrity assertions below.
-		runtime.Gosched()
-		select {
-		case <-done:
-			flushing = false
-		default:
-		}
-	}
-	wg.Wait()
-	rt.Flush()
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < events; i++ {
+					th.Enter(uint64(0x100 + i%16))
+				}
+				close(done)
+			}()
+			for flushing := true; flushing; {
+				rt.Flush()
+				rt.FlushLog(rt.Log())
+				// Yield between flush rounds: on a single-CPU box a
+				// saturating flusher can hold the busy flag whenever the
+				// probing goroutine is scheduled, starving every event into
+				// the drop path and leaving nothing for the integrity
+				// assertions below.
+				runtime.Gosched()
+				select {
+				case <-done:
+					flushing = false
+				default:
+				}
+			}
+			wg.Wait()
+			rt.Flush()
 
-	// An event that loses the handshake CAS to an overlapping flush is
-	// skipped, so not every event lands; the invariant is that whatever
-	// did land is intact (no torn thread ID) and per-thread ordered (the
-	// virtual counter is strictly increasing across recorded events).
-	seen, last := 0, uint64(0)
-	for _, e := range rt.Log().Entries() {
-		if e.ThreadID != th.ID() {
-			t.Fatalf("entry with torn thread ID %d", e.ThreadID)
-		}
-		if e.Counter <= last {
-			t.Fatalf("per-thread order broken: counter %d after %d", e.Counter, last)
-		}
-		last = e.Counter
-		seen++
-	}
-	if seen == 0 {
-		t.Fatal("no events survived the concurrent flushes")
+			// An event that loses the handshake CAS to an overlapping flush
+			// is skipped, so not every batched event lands; the invariant
+			// is that whatever did land is intact (no torn thread ID) and
+			// per-thread ordered (the virtual counter is strictly
+			// increasing across recorded events).
+			seen, last := 0, uint64(0)
+			for _, e := range rt.Log().Entries() {
+				if e.ThreadID != th.ID() {
+					t.Fatalf("entry with torn thread ID %d", e.ThreadID)
+				}
+				if e.Counter <= last {
+					t.Fatalf("per-thread order broken: counter %d after %d", e.Counter, last)
+				}
+				last = e.Counter
+				seen++
+			}
+			if seen == 0 {
+				t.Fatal("no events survived the concurrent flushes")
+			}
+			if tc.opts == nil && seen != events {
+				t.Fatalf("%d of %d unbatched events recorded, want all", seen, events)
+			}
+		})
 	}
 }
 

@@ -52,6 +52,11 @@ type Runtime struct {
 	src    counter.Source
 	filter *Filter
 	batch  int
+	// unbatched is set for batch 1 without an adaptive controller: each
+	// event then reserves and commits its one slot inside a single probe
+	// call, so threads hold no block between calls and flushes have
+	// nothing to release (see Thread.record).
+	unbatched bool
 
 	// adaptive is non-nil when WithAdaptiveBatch is configured; threads then
 	// reserve adaptive.cur slots per block instead of the fixed batch size.
@@ -94,9 +99,11 @@ func (o batchOption) apply(opts *runtimeOptions) { opts.batch = int(o) }
 // WithBatch makes each thread reserve blocks of k log slots with a single
 // tail fetch-and-add and fill them locally, cutting the contended global
 // atomic from one per event to one per k events. The default (k = 1)
-// reserves per event, exactly like shmlog.Append. Unused trailing slots of
-// a block are released (tombstoned) when the thread flushes, observes a
-// rotation, or the runtime stops.
+// reserves per event, exactly like shmlog.Append, and (without
+// WithAdaptiveBatch) skips the flush handshake, since a thread then holds
+// no block between events. Unused trailing slots of a block are released
+// (tombstoned) when the thread flushes, observes a rotation, or the
+// runtime stops.
 func WithBatch(k int) Option { return batchOption(k) }
 
 // adaptiveBatch is the self-tuning batch controller: the live batch size
@@ -213,7 +220,13 @@ func New(log *shmlog.Log, src counter.Source, opts ...Option) (*Runtime, error) 
 		ad.cur.Store(start)
 		log.SetBatchSize(uint64(start))
 	}
-	rt := &Runtime{src: src, filter: o.filter, batch: o.batch, adaptive: o.adaptive}
+	rt := &Runtime{
+		src:       src,
+		filter:    o.filter,
+		batch:     o.batch,
+		adaptive:  o.adaptive,
+		unbatched: o.batch == 1 && o.adaptive == nil,
+	}
 	rt.log.Store(log)
 	return rt, nil
 }
@@ -264,7 +277,7 @@ func (rt *Runtime) Thread() *Thread {
 	if id == 2 {
 		rt.Log().SetFlag(shmlog.FlagMultithread)
 	}
-	t := &Thread{rt: rt, id: id}
+	t := &Thread{rt: rt, id: id, unbatched: rt.unbatched}
 	rt.threadsMu.Lock()
 	rt.threads = append(rt.threads, t)
 	rt.threadsMu.Unlock()
@@ -272,12 +285,12 @@ func (rt *Runtime) Thread() *Thread {
 }
 
 // Flush releases the reserved-but-unfilled log slots of every registered
-// thread (see Thread.Flush). The per-thread busy handshake makes it safe to
-// call while application threads are still probing — a straggler racing
-// with its own flush either records first or has its event dropped — but it
-// is meant for quiescence points: the recorder calls it at Stop so trailing
-// reserved slots of batched blocks are released rather than left as
-// permanent holes.
+// thread and pushes their masked tallies (see Thread.Flush). It is safe to
+// call while application threads are still probing — under batching the
+// per-thread busy handshake makes a straggler racing with its own flush
+// either record first or have its event dropped — but it is meant for
+// quiescence points: the recorder calls it at Stop so trailing reserved
+// slots of batched blocks are released rather than left as permanent holes.
 func (rt *Runtime) Flush() {
 	for _, t := range rt.snapshotThreads() {
 		t.Flush()
@@ -289,9 +302,9 @@ func (rt *Runtime) Flush() {
 // swaps old out, so the rotated segment is persisted with tombstones
 // instead of the in-flight holes idle threads would otherwise leave until
 // their next event; threads that already moved to the new segment are left
-// untouched.
+// untouched. Unbatched threads hold no blocks, so it does nothing for them.
 func (rt *Runtime) FlushLog(old *shmlog.Log) {
-	if old == nil {
+	if old == nil || rt.unbatched {
 		return
 	}
 	for _, t := range rt.snapshotThreads() {
@@ -318,22 +331,31 @@ type block struct {
 
 // Thread is the per-application-thread probe handle. Enter/Exit/Span/record
 // must only be called by the owning thread (it models a thread-local), but
-// Flush may be called from any goroutine: the busy flag below serializes
-// cross-goroutine block maintenance against an in-flight probe.
+// Flush may be called from any goroutine: under batching the busy flag
+// below serializes cross-goroutine block maintenance against an in-flight
+// probe; an unbatched thread has no block for a flush to touch.
 type Thread struct {
 	rt  *Runtime
 	id  uint64
 	blk block
 
+	// unbatched caches Runtime.unbatched. Such a thread reserves and
+	// commits one slot per event inside record and keeps no block
+	// between calls (blk holds only its log and shard), so record guards
+	// reentrancy with the owner-only inProbe flag instead of the busy
+	// handshake, and Flush only drains the masked tally.
+	unbatched bool
+	inProbe   bool
+
 	// Adaptive-probe state, owned exclusively by the probing thread — a
-	// concurrent Flush touches only blk (under busy) and the atomic masked
-	// tally, never these fields, which is what lets the suppressed fast
-	// path in record skip the busy CAS entirely. ctl caches the log's
-	// control snapshot and ctlSrc the log it was read from; the record path
-	// rereads it when the header's generation word moves or the log was
-	// rotated. ctlActive short-circuits the sampling/mask logic when the
-	// controls are all-default, keeping the record-everything path identical
-	// to pre-sampling builds.
+	// concurrent Flush touches only a batched blk (under busy) and the
+	// atomic masked tally, never these fields, which is what lets the
+	// suppressed fast path in record skip the reentrancy guard entirely.
+	// ctl caches the log's control snapshot and ctlSrc the log it was read
+	// from; the record path rereads it when the header's generation word
+	// moves or the log was rotated. ctlActive short-circuits the
+	// sampling/mask logic when the controls are all-default, keeping the
+	// record-everything path identical to pre-sampling builds.
 	ctl       shmlog.Controls
 	ctlSrc    *shmlog.Log
 	ctlActive bool
@@ -356,14 +378,14 @@ type Thread struct {
 	// Flush may be draining it.
 	maskedLocal atomic.Uint64
 
-	// busy is the reentrancy guard (the paper's no_instrument_function
-	// rule: injected code must never measure itself) and, since block
-	// state must survive a concurrent Flush from the recorder's Stop or
-	// rotation path, also the handshake that keeps flushes from tearing
-	// blk under a straggling probe. Acquired with a CAS on entry to record
-	// and to the flush paths; a probe that loses the race to a concurrent
-	// flush drops its event, which is acceptable at the
-	// stop/rotation boundaries where that race can occur.
+	// busy is a batched thread's reentrancy guard (the paper's
+	// no_instrument_function rule: injected code must never measure
+	// itself) and, since block state must survive a concurrent Flush from
+	// the recorder's Stop or rotation path, also the handshake that keeps
+	// flushes from tearing blk under a straggling probe. Acquired with a
+	// CAS on entry to record and to the flush paths; a probe that loses
+	// the race to a concurrent flush drops its event, which is acceptable
+	// at the stop/rotation boundaries where that race can occur.
 	busy atomic.Bool
 }
 
@@ -411,14 +433,15 @@ func (t *Thread) record(kind shmlog.Kind, addr uint64) {
 
 	// Suppressed fast path: when the cached control snapshot is current —
 	// same log, same generation — and it says this event is sampled out or
-	// masked, the probe returns before taking the busy CAS, reserving a
-	// slot, or reading the counter. Everything it touches (tick, the
-	// decision stack, the cached snapshot) is owned by the probing thread;
-	// a concurrent Flush touches only blk (under busy) and the atomic
-	// masked tally. This is what makes high sampling periods cheap: a
-	// suppressed pair costs a few thread-local loads instead of two CASes.
-	// Recording decisions fall through and are re-derived under the guard,
-	// which is also where stale snapshots reload.
+	// masked, the probe returns before taking the reentrancy guard,
+	// reserving a slot, or reading the counter. Everything it touches
+	// (tick, the decision stack, the cached snapshot) is owned by the
+	// probing thread; a concurrent Flush touches only a batched blk (under
+	// busy) and the atomic masked tally. This is what makes high sampling
+	// periods cheap: a suppressed pair costs a few thread-local loads
+	// instead of a reservation and a commit. Recording decisions fall
+	// through and are re-derived under the guard, which is also where
+	// stale snapshots reload.
 	if t.ctlActive && log == t.ctlSrc && log.CtlGen() == t.ctl.Gen {
 		switch {
 		case kind == shmlog.KindCall:
@@ -441,10 +464,18 @@ func (t *Thread) record(kind shmlog.Kind, addr uint64) {
 		}
 	}
 
-	// One CAS guards both reentrancy (a nested probe sees busy and bails)
-	// and concurrent flushes (see Thread.busy). The flag lives on the
-	// thread-local handle, so the CAS never contends in steady state.
-	if !t.busy.CompareAndSwap(false, true) {
+	// Reentrancy guard: a nested probe sees the flag and bails. An
+	// unbatched thread owns nothing between calls that another goroutine
+	// could release, so a plain owner-only flag suffices. A batched
+	// thread's CAS on busy also keeps concurrent flushes off its block
+	// (see Thread.busy); the flag lives on the thread-local handle, so the
+	// CAS never contends in steady state.
+	if t.unbatched {
+		if t.inProbe {
+			return
+		}
+		t.inProbe = true
+	} else if !t.busy.CompareAndSwap(false, true) {
 		return
 	}
 
@@ -485,48 +516,76 @@ func (t *Thread) record(kind shmlog.Kind, addr uint64) {
 	}
 	if suppress {
 		t.noteMasked(log)
-		t.busy.Store(false)
+		t.unlock()
 		return
 	}
 
-	if t.blk.next == t.blk.end && !t.blk.full {
-		batch := t.rt.batch
-		if ad := t.rt.adaptive; ad != nil {
-			batch = int(ad.cur.Load())
-			begin := time.Now()
-			start, n := log.ReserveShard(t.blk.shard, batch)
-			ad.note(t.rt, log, t.blk.shard, time.Since(begin))
-			if n == 0 {
-				t.blk.full = true
-			} else {
-				t.blk.next, t.blk.end = start, start+uint64(n)
-			}
-		} else {
-			start, n := log.ReserveShard(t.blk.shard, batch)
-			if n == 0 {
-				t.blk.full = true
-			} else {
-				t.blk.next, t.blk.end = start, start+uint64(n)
-			}
-		}
+	// An unbatched thread reserves exactly the slot it commits below; a
+	// full segment (or a sealed one, see shmlog.Log.Seal) reserves none.
+	var (
+		slot uint64
+		ok   bool
+	)
+	if t.unbatched {
+		var n int
+		slot, n = log.ReserveShard(t.blk.shard, 1)
+		ok = n != 0
+	} else {
+		slot, ok = t.nextSlot(log)
 	}
-	if t.blk.next == t.blk.end {
+	if !ok {
 		// Segment full: same accounting as the ErrFull path of Append.
 		log.NoteDroppedShard(t.blk.shard, 1)
 		t.rt.drops.Add(1)
-		t.busy.Store(false)
+		t.unlock()
 		return
 	}
-
-	slot := t.blk.next
-	t.blk.next++
 	log.Commit(slot, shmlog.Entry{
 		Kind:     kind,
 		Counter:  t.rt.src.Now(),
 		Addr:     addr,
 		ThreadID: t.id,
 	})
-	t.busy.Store(false)
+	t.unlock()
+}
+
+// unlock releases the reentrancy guard record took.
+func (t *Thread) unlock() {
+	if t.unbatched {
+		t.inProbe = false
+	} else {
+		t.busy.Store(false)
+	}
+}
+
+// nextSlot hands out the next slot of a batched thread's block, reserving
+// a fresh block when the current one is used up; ok is false when the
+// segment was full at the last reservation attempt. Called with busy held.
+func (t *Thread) nextSlot(log *shmlog.Log) (slot uint64, ok bool) {
+	if t.blk.next == t.blk.end && !t.blk.full {
+		var (
+			start uint64
+			n     int
+		)
+		if ad := t.rt.adaptive; ad != nil {
+			begin := time.Now()
+			start, n = log.ReserveShard(t.blk.shard, int(ad.cur.Load()))
+			ad.note(t.rt, log, t.blk.shard, time.Since(begin))
+		} else {
+			start, n = log.ReserveShard(t.blk.shard, t.rt.batch)
+		}
+		if n == 0 {
+			t.blk.full = true
+		} else {
+			t.blk.next, t.blk.end = start, start+uint64(n)
+		}
+	}
+	if t.blk.next == t.blk.end {
+		return 0, false
+	}
+	slot = t.blk.next
+	t.blk.next++
+	return slot, true
 }
 
 // acquire spins until it owns the busy flag. The guarded section never
@@ -540,7 +599,7 @@ func (t *Thread) acquire() {
 
 // reloadCtl rereads the control snapshot from log (generation handshake in
 // shmlog.Controls) and precomputes whether any control deviates from
-// record-everything. Called with busy held.
+// record-everything. Called under the reentrancy guard.
 func (t *Thread) reloadCtl(log *shmlog.Log) {
 	t.ctl = log.Controls()
 	t.ctlSrc = log
@@ -576,8 +635,9 @@ func (t *Thread) pushDecision(rec bool) {
 }
 
 // noteMasked tallies one suppressed event and flushes the tally to the
-// shared header word in bulk. Runs outside the busy guard on the fast path;
-// the swap keeps a concurrent flushMasked from losing or double-counting.
+// shared header word in bulk. Runs outside the reentrancy guard on the fast
+// path; the swap keeps a concurrent flushMasked from losing or
+// double-counting.
 func (t *Thread) noteMasked(log *shmlog.Log) {
 	if t.maskedLocal.Add(1) < maskedFlushEvery {
 		return
@@ -589,7 +649,7 @@ func (t *Thread) noteMasked(log *shmlog.Log) {
 }
 
 // flushMasked pushes the thread's local suppressed-event tally to the
-// shared counter. Called with busy held.
+// shared counter. The swap makes it safe against the owner's noteMasked.
 func (t *Thread) flushMasked() {
 	if n := t.maskedLocal.Swap(0); n != 0 {
 		t.rt.log.Load().NoteMasked(n)
@@ -611,8 +671,13 @@ func (t *Thread) releaseBlock() {
 // at workload completion, before a log Reset, or implicitly via
 // Runtime.Flush at recorder stop. It is safe to call from any goroutine:
 // the busy handshake serializes it against an in-flight probe of the
-// owning thread (which afterwards simply reserves a fresh block).
+// owning thread (which afterwards simply reserves a fresh block). An
+// unbatched thread holds no block, so Flush only drains its masked tally.
 func (t *Thread) Flush() {
+	if t.unbatched {
+		t.flushMasked()
+		return
+	}
 	t.acquire()
 	t.releaseBlock()
 	t.blk = block{}

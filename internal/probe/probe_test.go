@@ -106,16 +106,29 @@ func TestReentrancyGuard(t *testing.T) {
 	th := rt.Thread()
 	// Simulate the probe being re-entered from within itself, as would
 	// happen if the injected code were itself instrumented.
-	th.busy.Store(true)
+	// An unbatched thread guards with its owner-only flag.
+	th.inProbe = true
 	th.Enter(0x1)
 	th.Exit(0x1)
 	if got := rt.Log().Len(); got != 0 {
 		t.Errorf("re-entrant probe recorded %d entries, want 0", got)
 	}
-	th.busy.Store(false)
+	th.inProbe = false
 	th.Enter(0x1)
 	if got := rt.Log().Len(); got != 1 {
 		t.Errorf("after guard release recorded %d entries, want 1", got)
+	}
+
+	// A batched thread guards with the busy flag its flushes also take.
+	rt = newRuntime(t, 16, WithBatch(4))
+	th = rt.Thread()
+	th.busy.Store(true)
+	th.Enter(0x1)
+	th.Exit(0x1)
+	th.busy.Store(false)
+	rt.Flush()
+	if got := len(rt.Log().Entries()); got != 0 {
+		t.Errorf("re-entrant batched probe recorded %d entries, want 0", got)
 	}
 }
 

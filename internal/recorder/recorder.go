@@ -435,8 +435,12 @@ func (r *Recorder) Stop() error {
 	// Release the trailing reserved slots of every thread's batched block
 	// so the persisted log carries tombstones (dismissed by readers)
 	// instead of permanent holes. The probe runtime's per-thread busy
-	// handshake makes this safe even if a straggling probe overlaps Stop;
-	// the straggler's event is recorded or dropped, never torn.
+	// handshake makes this safe even if a straggling batched probe
+	// overlaps Stop; the straggler's event is recorded or dropped, never
+	// torn. An unbatched probe holds no block to release. A straggler of
+	// either kind that passed the active check before SetActive(false)
+	// may still commit its event after Stop returns: the batched one by
+	// taking the handshake after the flush, the unbatched one directly.
 	r.rt.Flush()
 	// The final checkpoint runs after the flush so it captures the fully
 	// tombstoned log; a crash before this point is covered by the last

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"teeperf/internal/counter"
 	"teeperf/internal/probe"
@@ -116,11 +117,33 @@ func TestSoftwareCounterLifecycle(t *testing.T) {
 	// single-core host scheduling decides, so yield periodically (the
 	// real deployment sacrifices a whole core to the counter) and assert
 	// only portably: the counter ran, and counter values never decrease.
-	for i := 0; i < 1<<15; i++ {
+	// A fixed number of pairs can finish before the counter goroutine is
+	// first scheduled, so keep recording until the log shows the counter
+	// moved twice (counted as the assertion below counts it), or a
+	// deadline passes.
+	scanned, last, moves := 0, uint64(0), 0
+	advanced := func() bool {
+		for n := r.Log().Len(); scanned < n; scanned++ {
+			e, err := r.Log().Entry(scanned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Counter != last {
+				moves++
+			}
+			last = e.Counter
+		}
+		return moves >= 2
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; ; i++ {
 		th.Enter(1)
 		th.Exit(1)
 		if i%1024 == 0 {
 			runtime.Gosched()
+			if advanced() || time.Now().After(deadline) {
+				break
+			}
 		}
 	}
 	if err := r.Stop(); err != nil {

@@ -21,11 +21,14 @@ import (
 // block they hold in the rotated-out segment released eagerly: Rotate calls
 // probe.Runtime.FlushLog on the old segment after the swap, so idle
 // threads' reserved slots persist as tombstones (dismissed by readers)
-// rather than in-flight holes. A probe that loaded the old log pointer just
-// before the swap can still reserve one late block there; such holes are
-// rare, and both the cursor (skip-and-revisit) and the analyzer (dismiss)
-// tolerate them — the live monitor's retired-cursor grace window covers
-// those stragglers.
+// rather than in-flight holes. Rotate then seals the old segment
+// (shmlog.Log.Seal): a probe that loaded the old log pointer just before
+// the swap and reserves after the seal finds the segment full and counts
+// its event as dropped, instead of landing past the length a persister
+// already took. A straggler that reserved before the seal may still commit
+// after it; such holes are rare, and both the cursor (skip-and-revisit)
+// and the analyzer (dismiss) tolerate them — the live monitor's
+// retired-cursor grace window covers those stragglers.
 func (r *Recorder) Rotate() (*shmlog.Log, error) {
 	r.rotateMu.Lock()
 	defer r.rotateMu.Unlock()
@@ -73,6 +76,7 @@ func (r *Recorder) Rotate() (*shmlog.Log, error) {
 	// segment before anyone persists it; threads already writing to the
 	// new segment are left alone.
 	r.rt.FlushLog(prev)
+	prev.Seal()
 	r.segments++
 	for _, fn := range r.rotateHooks {
 		fn(prev)

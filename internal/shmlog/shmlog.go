@@ -163,12 +163,19 @@ const (
 // Segment-header word offsets (relative to the segment's first word). Each
 // live segment tail is fetch-and-added by the writers hashed onto that
 // segment; capacity is written once at setup; dropped counts events lost
-// because this segment was full.
+// because this segment was full; sealed holds the reserved length Seal
+// froze (in memory only: it persists as zero).
 const (
 	segWordTail     = 0
 	segWordCapacity = 1
 	segWordDropped  = 2
+	segWordSealed   = 3
 )
+
+// sealBit marks a sealed segment's tail word. It sits far above any
+// capacity, so every fetch-and-add after Seal lands past the capacity and
+// reports the segment full, and no run of such adds can carry out of it.
+const sealBit = 1 << 62
 
 // Version-1 header word indexes (decode-only).
 const (
@@ -501,9 +508,15 @@ func (l *Log) slotWordIdx(slot uint64) int {
 	return l.segEntryIdx(s, int(slot)%l.segCap)
 }
 
-// segTail returns segment s's raw tail word.
+// segTail returns segment s's raw tail word, or the reserved length Seal
+// froze once the segment is sealed.
 func (l *Log) segTail(s int) uint64 {
-	return atomic.LoadUint64(&l.words[l.segHeaderIdx(s)+segWordTail])
+	h := l.segHeaderIdx(s)
+	t := atomic.LoadUint64(&l.words[h+segWordTail])
+	if t&sealBit != 0 {
+		return atomic.LoadUint64(&l.words[h+segWordSealed])
+	}
+	return t
 }
 
 // segLen returns segment s's reserved length, clamped to the segment
@@ -534,7 +547,8 @@ func (l *Log) ShardOf(tid uint64) int {
 // monitor and the fleet agent.
 type SegmentStat struct {
 	// Tail is the segment's raw tail word (may transiently exceed Capacity
-	// by in-flight overshoot under overload; see ReserveShard).
+	// by in-flight overshoot under overload; see ReserveShard), or the
+	// frozen reserved length once the segment is sealed (see Seal).
 	Tail uint64
 	// Capacity is the segment's slot count.
 	Capacity uint64
@@ -548,7 +562,7 @@ func (l *Log) SegmentStats() []SegmentStat {
 	for s := 0; s < l.shards; s++ {
 		h := l.segHeaderIdx(s)
 		out[s] = SegmentStat{
-			Tail:     atomic.LoadUint64(&l.words[h+segWordTail]),
+			Tail:     l.segTail(s),
 			Capacity: atomic.LoadUint64(&l.words[h+segWordCapacity]),
 			Dropped:  atomic.LoadUint64(&l.words[h+segWordDropped]),
 		}
@@ -976,9 +990,11 @@ func (l *Log) ReserveShard(shard, n int) (start uint64, count int) {
 			// Overload: park the tail at the capacity boundary. The CAS
 			// only ever moves the word down to segCap — never below — so
 			// reservations that did land usable slots stay accounted.
+			// A sealed tail is left as it is: parking it would unseal it.
 			for {
 				t := atomic.LoadUint64(&l.words[tailIdx])
-				if t <= segCap || atomic.CompareAndSwapUint64(&l.words[tailIdx], t, segCap) {
+				if t <= segCap || t&sealBit != 0 ||
+					atomic.CompareAndSwapUint64(&l.words[tailIdx], t, segCap) {
 					break
 				}
 			}
@@ -1008,6 +1024,37 @@ func (l *Log) ReserveShard(shard, n int) (start uint64, count int) {
 		usable = uint64(n)
 	}
 	return uint64(shard)*segCap + local, int(usable)
+}
+
+// Seal freezes every segment at its current reserved length: reservations
+// that land afterwards report the segment full (and the writer counts them
+// as drops) instead of claiming slots past a length a persister may already
+// have taken. The recorder seals a segment it has rotated out, so a probe
+// that loaded the old log pointer just before the swap loses its event
+// visibly rather than silently. Slots reserved before the seal stay in
+// Len, WriteTo and cursors, committed or not. Reset unseals.
+//
+// Seal is for heap logs: on a shared mapping the sealed tail word would be
+// visible to the other process too.
+func (l *Log) Seal() {
+	segCap := uint64(l.segCap)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for s := 0; s < l.shards; s++ {
+		h := l.segHeaderIdx(s)
+		for {
+			t := atomic.LoadUint64(&l.words[h+segWordTail])
+			if t&sealBit != 0 {
+				break
+			}
+			// The frozen length is stored before the CAS publishes the
+			// seal bit, so a reader that sees the bit sees the length.
+			atomic.StoreUint64(&l.words[h+segWordSealed], min(t, segCap))
+			if atomic.CompareAndSwapUint64(&l.words[h+segWordTail], t, t|sealBit) {
+				break
+			}
+		}
+	}
 }
 
 // Commit writes e into a reserved slot the caller owns exclusively.
@@ -1104,12 +1151,16 @@ func (l *Log) Entry(i int) (Entry, error) {
 	if !ok {
 		return Entry{}, fmt.Errorf("%w: %d (len %d)", ErrRange, i, l.Len())
 	}
+	// The commit marker is loaded first (as Cursor.decode does): a slot
+	// that commits after this load reads as in flight, never as a real
+	// thread ID paired with the slot's old counter and address.
+	tid := atomic.LoadUint64(&l.words[base+2])
 	word0 := atomic.LoadUint64(&l.words[base])
 	e := Entry{
 		Kind:     KindCall,
 		Counter:  word0 & counterMask,
 		Addr:     atomic.LoadUint64(&l.words[base+1]),
-		ThreadID: atomic.LoadUint64(&l.words[base+2]),
+		ThreadID: tid,
 	}
 	if word0&kindBit != 0 {
 		e.Kind = KindReturn
@@ -1139,16 +1190,17 @@ func (l *Log) Entries() []Entry {
 	return out
 }
 
-// Reset clears every segment tail and drop counter plus the shared counter,
-// keeping configuration (capacity, shards, pid, flags) intact. Not safe to
-// call concurrently with Append, Reserve or a live Cursor; batched writers
-// must Flush (releasing their blocks) before a Reset, or their stale blocks
-// would commit into the recycled region.
+// Reset clears every segment tail, seal and drop counter plus the shared
+// counter, keeping configuration (capacity, shards, pid, flags) intact. Not
+// safe to call concurrently with Append, Reserve or a live Cursor; batched
+// writers must Flush (releasing their blocks) before a Reset, or their
+// stale blocks would commit into the recycled region.
 func (l *Log) Reset() {
 	for s := 0; s < l.shards; s++ {
 		h := l.segHeaderIdx(s)
 		atomic.StoreUint64(&l.words[h+segWordTail], 0)
 		atomic.StoreUint64(&l.words[h+segWordDropped], 0)
+		atomic.StoreUint64(&l.words[h+segWordSealed], 0)
 	}
 	atomic.StoreUint64(&l.words[wordTail], 0)
 	atomic.StoreUint64(&l.words[wordCounter], 0)
@@ -1242,11 +1294,22 @@ func (l *Log) encodeTo(w io.Writer) error {
 				return err
 			}
 		}
-		entryBase := l.segHeaderIdx(s) + SegHeaderWords
-		for i := 0; i < n*EntryWords; i++ {
-			if err := put(atomic.LoadUint64(&l.words[entryBase+i])); err != nil {
-				return err
+		// Each slot's commit marker is loaded before its counter and
+		// address words, as in Entry, so a slot committing mid-encode
+		// persists as in flight rather than torn.
+		const slotBytes = EntryWords * 8
+		for base := l.segEntryIdx(s, 0); n > 0; n-- {
+			if off+slotBytes > len(buf) {
+				if err := flush(); err != nil {
+					return err
+				}
 			}
+			tid := atomic.LoadUint64(&l.words[base+2])
+			binary.LittleEndian.PutUint64(buf[off:], atomic.LoadUint64(&l.words[base]))
+			binary.LittleEndian.PutUint64(buf[off+8:], atomic.LoadUint64(&l.words[base+1]))
+			binary.LittleEndian.PutUint64(buf[off+16:], tid)
+			off += slotBytes
+			base += EntryWords
 		}
 	}
 	return flush()
