@@ -13,6 +13,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -416,6 +418,43 @@ func BenchmarkFlameGraphSVG(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFoldRender measures stage 4 on a deep profile: WriteFolded plus
+// RenderSVG over 30K seeded stacks of depth 3 to 12 whose frames share
+// prefixes like a real call tree (the map internal/flamegraph's digest
+// golden pins).
+func BenchmarkFoldRender(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	names := make([]string, 60)
+	for i := range names {
+		names[i] = fmt.Sprintf("mod%d::fn_%02d", i%7, i)
+	}
+	names[5] = "std::vector<int>::push_back&"
+	folded := make(map[string]uint64, 30000)
+	var sb strings.Builder
+	for len(folded) < 30000 {
+		sb.Reset()
+		depth := 3 + rng.Intn(10)
+		for j := 0; j < depth; j++ {
+			if j > 0 {
+				sb.WriteByte(';')
+			}
+			sb.WriteString(names[rng.Intn(min(len(names), 4+4*j))])
+		}
+		folded[sb.String()] += 1 + uint64(rng.Intn(1000))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := flamegraph.WriteFolded(io.Discard, folded); err != nil {
+			b.Fatal(err)
+		}
+		if err := flamegraph.RenderSVG(io.Discard, folded, flamegraph.SVGOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(folded)), "stacks")
 }
 
 // BenchmarkQueryFilter measures the declarative query engine.
