@@ -158,23 +158,31 @@ type threadEntries struct {
 // frames are tagged past the end of the log in thread-discovery order, so a
 // stable sort by the tag replays records in exactly the serial close order.
 type closedRec struct {
-	rec      Record
-	stackKey string
-	at       int
+	rec Record
+	at  int
 }
 
 func closeTag(cr *closedRec) uint64 { return uint64(cr.at) }
 
 // threadResult is one thread's reconstruction: its stack machine and, as
-// the machine's sink, the records it closed, each tagged for the merge.
+// the machine's sink, the records it closed, each tagged for the merge, and
+// the raw per-path totals of those records.
 type threadResult struct {
 	ts        threadStack
+	paths     pathTable
 	recs      []closedRec
 	at        int // merge tag of the entry being fed
 	truncated int
 }
 
 func (r *threadResult) closed(f closedFrame, under []frame) {
+	n := &r.paths.nodes[f.path]
+	n.calls++
+	n.incl += f.incl
+	n.self += f.self
+	if f.self > 0 || f.name == TruncatedFrameName {
+		n.folded = true
+	}
 	caller := ""
 	if len(under) > 0 {
 		caller = under[len(under)-1].name
@@ -192,9 +200,36 @@ func (r *threadResult) closed(f closedFrame, under []frame) {
 			Self:      f.self,
 			Truncated: f.truncated,
 		},
-		stackKey: foldKey(under, f.name),
-		at:       r.at,
+		at: r.at,
 	})
+}
+
+// foldPaths adds one thread's call paths into p's folded and per-path
+// maps. Each node's key is built once, as its parent's key, ';' and its
+// name; addresses that display alike land on one key. Every node closed at
+// least once, and scaling the raw sums by period equals summing the scaled
+// records: (Σx)·period and Σ(x·period) agree in uint64 arithmetic.
+func (p *Profile) foldPaths(pt *pathTable, period uint64) {
+	keys := make([]string, len(pt.nodes))
+	for i := 1; i < len(pt.nodes); i++ {
+		n := &pt.nodes[i]
+		key := n.name
+		if n.parent != 0 {
+			key = keys[n.parent] + ";" + n.name
+		}
+		keys[i] = key
+		if n.folded {
+			p.folded[key] += n.self * period
+		}
+		pa, ok := p.pathStats[key]
+		if !ok {
+			pa = &pathAccum{}
+			p.pathStats[key] = pa
+		}
+		pa.calls += n.calls * period
+		pa.incl += n.incl * period
+		pa.self += n.self * period
+	}
 }
 
 // Analyze reconstructs a profile from a recorded log.
@@ -329,24 +364,13 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 		cr.rec.Incl *= period
 		cr.rec.Self *= period
 		p.records = append(p.records, cr.rec)
-		if cr.rec.Self > 0 {
-			p.folded[cr.stackKey] += cr.rec.Self
-		} else if cr.rec.Name == TruncatedFrameName {
-			// The synthetic recovery frame is zero-width; register its
-			// stack anyway so flame graphs show WHERE the torn activity
-			// happened, even at zero weight.
-			p.folded[cr.stackKey] += 0
-		}
-		pa, ok := p.pathStats[cr.stackKey]
-		if !ok {
-			pa = &pathAccum{}
-			p.pathStats[cr.stackKey] = pa
-		}
-		pa.calls += period
-		pa.incl += cr.rec.Incl
-		pa.self += cr.rec.Self
 		p.accumulate(cr.rec, period)
 	})
+	// Folded stacks and path totals are sums, so they need no close order:
+	// each thread's path table merges in whole.
+	for oi := range results {
+		p.foldPaths(&results[oi].paths, period)
+	}
 
 	sort.Slice(p.threads, func(i, j int) bool { return p.threads[i].ID < p.threads[j].ID })
 	sort.Slice(p.funcs, func(i, j int) bool {
@@ -369,15 +393,20 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 // TruncatedFrameName rather than being dropped.
 func analyzeThread(r *threadResult, g *threadEntries, tab *symtab.Table, forceAt int, lenient bool) {
 	r.ts.id = g.id
+	r.paths = newPathTable()
+	r.ts.paths = &r.paths
 	for k := range g.entries {
 		e := &g.entries[k]
 		r.at = g.at[k]
 		if !r.ts.feed(*e, tab, r) && lenient {
 			// The call side was lost with the torn region: attribute the
 			// orphaned return to a zero-width synthetic truncated frame so
-			// the salvage scar is visible.
+			// the salvage scar is visible. Its path is registered in the
+			// folded map even at zero weight, so flame graphs show WHERE
+			// the torn activity happened.
+			path := r.paths.child(r.ts.topPath(), 0, TruncatedFrameName, true)
 			r.closed(closedFrame{
-				frame:     frame{addr: e.Addr, name: TruncatedFrameName, start: e.Counter},
+				frame:     frame{addr: e.Addr, name: TruncatedFrameName, start: e.Counter, path: path},
 				end:       e.Counter,
 				truncated: true,
 			}, r.ts.stack)

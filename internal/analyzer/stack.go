@@ -1,8 +1,6 @@
 package analyzer
 
 import (
-	"strings"
-
 	"teeperf/internal/shmlog"
 	"teeperf/internal/symtab"
 )
@@ -13,6 +11,9 @@ type frame struct {
 	name       string
 	start      uint64
 	childTicks uint64
+	// path is the frame's node in its thread's call-path table; 0 when
+	// the stack keeps no table.
+	path int
 }
 
 // closedFrame is one execution a threadStack completed, in raw ticks.
@@ -42,6 +43,7 @@ type frameSink interface {
 type threadStack struct {
 	id        uint64
 	stack     []frame
+	paths     *pathTable // nil for the live machine
 	lastTS    uint64
 	events    int
 	maxDepth  int
@@ -58,7 +60,11 @@ func (ts *threadStack) feed(e shmlog.Entry, tab *symtab.Table, sink frameSink) b
 	ts.lastTS = e.Counter
 	switch e.Kind {
 	case shmlog.KindCall:
-		ts.stack = append(ts.stack, frame{addr: e.Addr, name: tab.Name(e.Addr), start: e.Counter})
+		f := frame{addr: e.Addr, name: tab.Name(e.Addr), start: e.Counter}
+		if ts.paths != nil {
+			f.path = ts.paths.child(ts.topPath(), f.addr, f.name, false)
+		}
+		ts.stack = append(ts.stack, f)
 		if d := len(ts.stack); d > ts.maxDepth {
 			ts.maxDepth = d
 		}
@@ -112,22 +118,64 @@ func (ts *threadStack) closeTop(now uint64, truncated bool, sink frameSink) {
 	sink.closed(c, ts.stack)
 }
 
-// foldKey is the folded-stack key of leaf called from under: the frame
-// names joined by ';', outermost first. A root's key is its name, uncopied.
-func foldKey(under []frame, leaf string) string {
-	if len(under) == 0 {
-		return leaf
+// topPath is the path node of the top open frame, 0 on an empty stack.
+func (ts *threadStack) topPath() int {
+	if d := len(ts.stack); d > 0 {
+		return ts.stack[d-1].path
 	}
-	n := len(under) + len(leaf)
-	for i := range under {
-		n += len(under[i].name)
+	return 0
+}
+
+// pathTable interns one thread's call paths so that the offline analyzer
+// builds each folded key once per distinct path instead of once per call.
+// Node 0 is the thread's root; every other node is one (parent, address)
+// edge and carries the raw totals of the executions that closed on exactly
+// that path. Parents precede their children in nodes.
+type pathTable struct {
+	nodes []pathNode
+	edges map[pathEdge]int
+}
+
+type pathNode struct {
+	name      string
+	addr      uint64
+	parent    int
+	lastChild int // the child found by the latest lookup, 0 for none
+	synthetic bool
+	// folded marks a path registered in the folded map: one of its
+	// executions had self time, or it is the zero-width TruncatedFrameName.
+	folded            bool
+	calls, incl, self uint64
+}
+
+// pathEdge keys a child node. Synthetic TruncatedFrameName records share
+// one node per parent, whatever their address: they share its key.
+type pathEdge struct {
+	parent    int
+	addr      uint64
+	synthetic bool
+}
+
+func newPathTable() pathTable {
+	return pathTable{nodes: make([]pathNode, 1, 64), edges: make(map[pathEdge]int)}
+}
+
+// child returns the node for addr (displayed as name) called on the path
+// parent, adding it on first use. Loops and repeated calls mostly hit the
+// parent's last child before the map.
+func (pt *pathTable) child(parent int, addr uint64, name string, synthetic bool) int {
+	if c := pt.nodes[parent].lastChild; c != 0 {
+		if n := &pt.nodes[c]; n.addr == addr && n.synthetic == synthetic {
+			return c
+		}
 	}
-	var b strings.Builder
-	b.Grow(n)
-	for i := range under {
-		b.WriteString(under[i].name)
-		b.WriteByte(';')
+	e := pathEdge{parent: parent, addr: addr, synthetic: synthetic}
+	c, ok := pt.edges[e]
+	if !ok {
+		c = len(pt.nodes)
+		pt.nodes = append(pt.nodes, pathNode{name: name, addr: addr, parent: parent, synthetic: synthetic})
+		pt.edges[e] = c
 	}
-	b.WriteString(leaf)
-	return b.String()
+	pt.nodes[parent].lastChild = c
+	return c
 }

@@ -27,42 +27,44 @@ type DiffNode struct {
 }
 
 // BuildDiff merges two folded-stack maps into one differential tree rooted
-// at a synthetic "all" frame.
+// at a synthetic "all" frame. Like Build, the tree does not depend on map
+// order.
 func BuildDiff(before, after map[string]uint64) *DiffNode {
 	root := &DiffNode{Name: RootName}
-	keys := make(map[string]struct{}, len(before)+len(after))
-	for k := range before {
-		keys[k] = struct{}{}
+	for stack, b := range before {
+		root.add(stack, b, after[stack])
 	}
-	for k := range after {
-		keys[k] = struct{}{}
-	}
-	ordered := make([]string, 0, len(keys))
-	for k := range keys {
-		ordered = append(ordered, k)
-	}
-	sort.Strings(ordered)
-	for _, stack := range ordered {
-		if stack == "" {
-			continue
+	for stack, a := range after {
+		if _, ok := before[stack]; !ok {
+			root.add(stack, 0, a)
 		}
-		b, a := before[stack], after[stack]
-		if b == 0 && a == 0 {
-			continue
-		}
-		node := root
-		root.Before += b
-		root.After += a
-		for _, name := range strings.Split(stack, ";") {
-			child := node.child(name)
-			child.Before += b
-			child.After += a
-			node = child
-		}
-		node.SelfBefore += b
-		node.SelfAfter += a
 	}
 	return root
+}
+
+// add merges one stack's before and after values into the tree under n.
+func (n *DiffNode) add(stack string, b, a uint64) {
+	if stack == "" || (b == 0 && a == 0) {
+		return
+	}
+	n.Before += b
+	n.After += a
+	node := n
+	for rest := stack; ; {
+		name := rest
+		i := strings.IndexByte(rest, ';')
+		if i >= 0 {
+			name, rest = rest[:i], rest[i+1:]
+		}
+		node = node.child(name)
+		node.Before += b
+		node.After += a
+		if i < 0 {
+			break
+		}
+	}
+	node.SelfBefore += b
+	node.SelfAfter += a
 }
 
 func (n *DiffNode) child(name string) *DiffNode {
@@ -144,6 +146,7 @@ func RenderDiffSVG(w io.Writer, before, after map[string]uint64, opts SVGOptions
 
 type diffRenderer struct {
 	bw          *bufio.Writer
+	buf         []byte
 	scale       float64
 	totalBefore uint64
 	totalAfter  uint64
@@ -174,15 +177,12 @@ func (r *diffRenderer) frame(n *DiffNode, x float64, depth int) {
 	tooltip := fmt.Sprintf("%s (before %d, after %d %s, %+.2f%%)",
 		n.Name, n.Before, n.After, r.opts.Unit, 100*delta)
 
-	fmt.Fprintf(r.bw,
-		`<g><title>%s</title><rect x="%.2f" y="%d" width="%.2f" height="%d" fill="%s" rx="1"/>`,
-		html.EscapeString(tooltip), x, y, w, frameHeight-1, diffColor(delta))
-	if label := fitLabel(n.Name, w); label != "" {
-		fmt.Fprintf(r.bw,
-			`<text x="%.2f" y="%d" font-size="%d" fill="#222">%s</text>`,
-			x+3, y+frameHeight-5, fontSize, html.EscapeString(label))
-	}
-	fmt.Fprint(r.bw, "</g>\n")
+	b := append(r.buf[:0], "<g><title>"...)
+	b = append(b, html.EscapeString(tooltip)...)
+	b = append(b, "</title>"...)
+	b = appendBox(b, n.Name, html.EscapeString(n.Name), diffColor(delta), x, y, w)
+	r.bw.Write(b)
+	r.buf = b
 
 	cx := x
 	for _, c := range n.Children {
@@ -209,7 +209,7 @@ func diffColor(delta float64) string {
 	}
 	level := 230 - int(170*t)
 	if delta > 0 {
-		return fmt.Sprintf("rgb(240,%d,%d)", level, level)
+		return rgb(240, level, level)
 	}
-	return fmt.Sprintf("rgb(%d,%d,240)", level, level)
+	return rgb(level, level, 240)
 }

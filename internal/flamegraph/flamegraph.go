@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,37 +34,71 @@ var ErrBadFolded = errors.New("flamegraph: bad folded line")
 const RootName = "all"
 
 // Build merges folded stacks ("a;b;c" -> value) into a tree rooted at a
-// synthetic "all" frame.
+// synthetic "all" frame. The tree does not depend on map order: children
+// are kept sorted by name and totals are sums.
 func Build(folded map[string]uint64) *Node {
-	root := &Node{Name: RootName}
-	keys := make([]string, 0, len(folded))
-	for k := range folded {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, stack := range keys {
-		v := folded[stack]
-		if v == 0 || stack == "" {
-			continue
-		}
-		node := root
-		root.Total += v
-		for _, name := range strings.Split(stack, ";") {
-			child := node.child(name)
-			child.Total += v
-			node = child
-		}
-		node.Self += v
-	}
+	root, _ := build(folded)
 	return root
 }
 
-func (n *Node) child(name string) *Node {
+// build is Build that also returns the tree's Depth, counted on the way.
+func build(folded map[string]uint64) (*Node, int) {
+	root := &Node{Name: RootName}
+	depth := 1
+	var a arena
+	for stack, v := range folded {
+		if v == 0 || stack == "" {
+			continue
+		}
+		root.Total += v
+		node, d := root, 1
+		for rest := stack; ; d++ {
+			name := rest
+			i := strings.IndexByte(rest, ';')
+			if i >= 0 {
+				name, rest = rest[:i], rest[i+1:]
+			}
+			node = node.child(name, &a)
+			node.Total += v
+			if i < 0 {
+				break
+			}
+		}
+		node.Self += v
+		depth = max(depth, d+1)
+	}
+	return root, depth
+}
+
+// arena hands out nodes, and the one-element child lists most nodes keep,
+// from slabs instead of one allocation each.
+type arena struct {
+	nodes []Node
+	kids  []*Node
+}
+
+// child returns n's child named name, inserting it in name order on first
+// use.
+func (n *Node) child(name string, a *arena) *Node {
 	i := sort.Search(len(n.Children), func(i int) bool { return n.Children[i].Name >= name })
 	if i < len(n.Children) && n.Children[i].Name == name {
 		return n.Children[i]
 	}
-	c := &Node{Name: name}
+	if len(a.nodes) == 0 {
+		a.nodes = make([]Node, 256)
+	}
+	c := &a.nodes[0]
+	a.nodes = a.nodes[1:]
+	c.Name = name
+	if n.Children == nil {
+		if len(a.kids) == 0 {
+			a.kids = make([]*Node, 256)
+		}
+		n.Children = a.kids[:1:1]
+		a.kids = a.kids[1:]
+		n.Children[0] = c
+		return c
+	}
 	n.Children = append(n.Children, nil)
 	copy(n.Children[i+1:], n.Children[i:])
 	n.Children[i] = c
@@ -98,16 +133,22 @@ func (n *Node) Find(name string) *Node {
 // WriteFolded emits folded stacks in the canonical text format, sorted for
 // deterministic output.
 func WriteFolded(w io.Writer, folded map[string]uint64) error {
-	keys := make([]string, 0, len(folded))
-	for k := range folded {
-		keys = append(keys, k)
+	type line struct {
+		stack string
+		value uint64
 	}
-	sort.Strings(keys)
+	lines := make([]line, 0, len(folded))
+	for k, v := range folded {
+		lines = append(lines, line{k, v})
+	}
+	slices.SortFunc(lines, func(a, b line) int { return strings.Compare(a.stack, b.stack) })
 	bw := bufio.NewWriter(w)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(bw, "%s %d\n", k, folded[k]); err != nil {
-			return err
-		}
+	var num [20]byte
+	for _, l := range lines {
+		bw.WriteString(l.stack)
+		bw.WriteByte(' ')
+		bw.Write(strconv.AppendUint(num[:0], l.value, 10))
+		bw.WriteByte('\n')
 	}
 	return bw.Flush()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"html"
 	"io"
+	"strconv"
 )
 
 // SVGOptions configures RenderSVG.
@@ -47,8 +48,7 @@ func RenderSVG(w io.Writer, folded map[string]uint64, opts SVGOptions) error {
 	if opts.Title == "" {
 		opts.Title = "TEE-Perf Flame Graph"
 	}
-	root := Build(folded)
-	depth := root.Depth()
+	root, depth := build(folded)
 	height := headerSpace + depth*frameHeight + footerSpace
 
 	bw := bufio.NewWriter(w)
@@ -64,8 +64,10 @@ func RenderSVG(w io.Writer, folded map[string]uint64, opts SVGOptions) error {
 			total: root.Total,
 			scale: float64(opts.Width-20) / float64(root.Total),
 			opts:  opts,
+			unit:  html.EscapeString(opts.Unit),
 			// Frames grow upward from the bottom, root at the bottom row.
-			baseY: height - footerSpace - frameHeight,
+			baseY:  height - footerSpace - frameHeight,
+			styles: make(map[string]nameStyle),
 		}
 		r.frame(root, 10, 0)
 		if opts.Interactive {
@@ -80,12 +82,32 @@ func RenderSVG(w io.Writer, folded map[string]uint64, opts SVGOptions) error {
 	return bw.Flush()
 }
 
+// svgRenderer writes frames without fmt: each frame is appended to one
+// reused byte buffer, and a name's escaped form and color are computed on
+// its first frame only.
 type svgRenderer struct {
-	bw    *bufio.Writer
-	total uint64
-	scale float64
-	opts  SVGOptions
-	baseY int
+	bw     *bufio.Writer
+	buf    []byte
+	total  uint64
+	scale  float64
+	opts   SVGOptions
+	unit   string // HTML-escaped
+	baseY  int
+	styles map[string]nameStyle
+}
+
+// nameStyle is a frame name's HTML-escaped form and fill color.
+type nameStyle struct {
+	esc, fill string
+}
+
+func (r *svgRenderer) style(name string) nameStyle {
+	st, ok := r.styles[name]
+	if !ok {
+		st = nameStyle{esc: html.EscapeString(name), fill: colorFor(name)}
+		r.styles[name] = st
+	}
+	return st
 }
 
 // frame draws node at horizontal offset x (pixels) and the given depth,
@@ -97,31 +119,78 @@ func (r *svgRenderer) frame(n *Node, x float64, depth int) {
 	}
 	y := r.baseY - depth*frameHeight
 	pct := 100 * float64(n.Total) / float64(r.total)
-	fill := colorFor(n.Name)
-	tooltip := fmt.Sprintf("%s (%d %s, %.2f%%)", n.Name, n.Total, r.opts.Unit, pct)
+	st := r.style(n.Name)
 
-	attrs := ""
+	b := append(r.buf[:0], "<g"...)
 	if r.opts.Interactive {
 		// Data attributes carry the tick-domain geometry the zoom script
 		// rescales from.
-		attrs = fmt.Sprintf(` class="fg" data-x="%.2f" data-w="%.2f" data-d="%d" data-n="%s"`,
-			x, w, depth, html.EscapeString(n.Name))
+		b = append(b, ` class="fg" data-x="`...)
+		b = appendFixed(b, x)
+		b = append(b, `" data-w="`...)
+		b = appendFixed(b, w)
+		b = append(b, `" data-d="`...)
+		b = strconv.AppendInt(b, int64(depth), 10)
+		b = append(b, `" data-n="`...)
+		b = append(b, st.esc...)
+		b = append(b, '"')
 	}
-	fmt.Fprintf(r.bw,
-		`<g%s><title>%s</title><rect x="%.2f" y="%d" width="%.2f" height="%d" fill="%s" rx="1"/>`,
-		attrs, html.EscapeString(tooltip), x, y, w, frameHeight-1, fill)
-	if label := fitLabel(n.Name, w); label != "" {
-		fmt.Fprintf(r.bw,
-			`<text x="%.2f" y="%d" font-size="%d" fill="#222">%s</text>`,
-			x+3, y+frameHeight-5, fontSize, html.EscapeString(label))
-	}
-	fmt.Fprint(r.bw, "</g>\n")
+	// The tooltip "name (total unit, pct%)", escaped piecewise: escaping
+	// works per character, and digits, spaces and punctuation pass as is.
+	b = append(b, "><title>"...)
+	b = append(b, st.esc...)
+	b = append(b, " ("...)
+	b = strconv.AppendUint(b, n.Total, 10)
+	b = append(b, ' ')
+	b = append(b, r.unit...)
+	b = append(b, ", "...)
+	b = appendFixed(b, pct)
+	b = append(b, "%)</title>"...)
+	b = appendBox(b, n.Name, st.esc, st.fill, x, y, w)
+	r.bw.Write(b)
+	r.buf = b
 
 	cx := x
 	for _, c := range n.Children {
 		r.frame(c, cx, depth+1)
 		cx += float64(c.Total) * r.scale
 	}
+}
+
+// appendFixed appends v formatted like fmt's %.2f.
+func appendFixed(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'f', 2, 64)
+}
+
+// appendBox appends a frame's rectangle, its label when one fits, and the
+// end of its group. esc is name HTML-escaped.
+func appendBox(b []byte, name, esc, fill string, x float64, y int, w float64) []byte {
+	b = append(b, `<rect x="`...)
+	b = appendFixed(b, x)
+	b = append(b, `" y="`...)
+	b = strconv.AppendInt(b, int64(y), 10)
+	b = append(b, `" width="`...)
+	b = appendFixed(b, w)
+	b = append(b, `" height="`...)
+	b = strconv.AppendInt(b, frameHeight-1, 10)
+	b = append(b, `" fill="`...)
+	b = append(b, fill...)
+	b = append(b, `" rx="1"/>`...)
+	if label := fitLabel(name, w); label != "" {
+		if label != name {
+			esc = html.EscapeString(label)
+		}
+		b = append(b, `<text x="`...)
+		b = appendFixed(b, x+3)
+		b = append(b, `" y="`...)
+		b = strconv.AppendInt(b, int64(y+frameHeight-5), 10)
+		b = append(b, `" font-size="`...)
+		b = strconv.AppendInt(b, fontSize, 10)
+		b = append(b, `" fill="#222">`...)
+		b = append(b, esc...)
+		b = append(b, "</text>"...)
+	}
+	return append(b, "</g>\n"...)
 }
 
 // fitLabel truncates a name to fit a frame of pixel width w.
@@ -147,7 +216,19 @@ func colorFor(name string) string {
 	red := 205 + int(h%50)
 	green := 50 + int((h>>8)%150)
 	blue := int((h >> 16) % 40)
-	return fmt.Sprintf("rgb(%d,%d,%d)", red, green, blue)
+	return rgb(red, green, blue)
+}
+
+// rgb renders an SVG color as "rgb(r,g,b)".
+func rgb(red, green, blue int) string {
+	b := make([]byte, 0, len("rgb(255,255,255)"))
+	b = append(b, "rgb("...)
+	b = strconv.AppendInt(b, int64(red), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(green), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(blue), 10)
+	return string(append(b, ')'))
 }
 
 // writeZoomScript embeds the click-to-zoom behaviour: clicking a frame

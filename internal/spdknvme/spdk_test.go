@@ -2,6 +2,7 @@ package spdknvme
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -365,29 +366,47 @@ func TestFig6Hotspots(t *testing.T) {
 
 // TestSPDKSpeedup verifies the §IV-C throughput story: naive inside SGX is
 // an order of magnitude below native; optimized recovers to near native.
+// The three modes run in three interleaved rounds and the bounds apply to
+// each mode's median IOPS, so a burst of load from other processes slows
+// one run of each mode instead of one mode's only run.
 func TestSPDKSpeedup(t *testing.T) {
 	if testing.Short() || raceinfo.Enabled {
 		t.Skip("timing-sensitive; skipped under -race and -short")
 	}
-	run := func(platform tee.Platform, mode Mode) PerfResult {
+	run := func(platform tee.Platform, mode Mode) float64 {
 		cfg, _, _ := perfPipeline(t, platform, true, mode, 4000)
 		res, err := RunPerf(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res.IOPS
 	}
-	native := run(tee.Native(), ModeNaive) // native: syscalls are cheap either way
-	naive := run(tee.SGXv1(), ModeNaive)
-	opt := run(tee.SGXv1(), ModeOptimized)
+	var natives, naives, opts []float64
+	for round := 0; round < 3; round++ {
+		natives = append(natives, run(tee.Native(), ModeNaive)) // native: syscalls are cheap either way
+		naives = append(naives, run(tee.SGXv1(), ModeNaive))
+		opts = append(opts, run(tee.SGXv1(), ModeOptimized))
+	}
+	native, naive, opt := median(natives), median(naives), median(opts)
 
-	if naive.IOPS*2 > native.IOPS {
-		t.Errorf("naive SGX IOPS %.0f not well below native %.0f", naive.IOPS, native.IOPS)
+	if naive*2 > native {
+		t.Errorf("naive SGX IOPS %.0f not well below native %.0f (rounds: naive %.0f, native %.0f)",
+			naive, native, naives, natives)
 	}
-	if opt.IOPS < 0.6*native.IOPS {
-		t.Errorf("optimized IOPS %.0f did not recover toward native %.0f", opt.IOPS, native.IOPS)
+	if opt < 0.6*native {
+		t.Errorf("optimized IOPS %.0f did not recover toward native %.0f (rounds: optimized %.0f, native %.0f)",
+			opt, native, opts, natives)
 	}
-	if speedup := opt.IOPS / naive.IOPS; speedup < 3 {
-		t.Errorf("optimized/naive speedup = %.1fx, want substantial (paper: 14.7x)", speedup)
+	if speedup := opt / naive; speedup < 3 {
+		t.Errorf("optimized/naive speedup = %.1fx, want substantial (paper: 14.7x; rounds: optimized %.0f, naive %.0f)",
+			speedup, opts, naives)
 	}
+}
+
+// median returns the middle value of xs (the upper middle for even
+// lengths), leaving xs unsorted.
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/2]
 }

@@ -7,8 +7,9 @@
 #   bench_gate.sh                # all: suite + overhead
 #   bench_gate.sh suite          # existence gate + trajectory-file checks
 #                                # + sampling p64/p1 threshold
-#   bench_gate.sh overhead       # run the quick stress sweep and gate its
-#                                # ratio rows against BENCH_overhead.json
+#   bench_gate.sh overhead       # run the quick stress sweep three times and
+#                                # gate each ratio row's median against
+#                                # BENCH_overhead.json
 #   bench_gate.sh overhead-compare <baseline.json> <current.json>
 #                                # gate two already-recorded trajectories
 #                                # (used by the benchjson script test)
@@ -131,9 +132,14 @@ gate_overhead() {
     # Run the sweep to completion before converting: piping straight into
     # `go run ./scripts/benchjson` would compile benchjson concurrently
     # with the first personality's measurements, which on small runners
-    # inflates its ratios.
-    overhead_sweep >"$raw" ||
-        fail "overhead sweep: stress run failed"
+    # inflates its ratios. One sweep's ratios spread further than the
+    # bounds allow on a 2-vCPU host, so the sweep runs three times and
+    # benchjson gates each row's median.
+    local i
+    for i in 1 2 3; do
+        overhead_sweep >>"$raw" ||
+            fail "overhead sweep: stress run $i of 3 failed"
+    done
     go run ./scripts/benchjson <"$raw" >"$cur" ||
         fail "overhead sweep: benchjson conversion failed"
     gate_overhead_compare BENCH_overhead.json "$cur"

@@ -14,6 +14,9 @@
 //	go run ./scripts/benchjson -gate -metric ratio -max-regress 50 -slack 1.0 \
 //	    BENCH_overhead.json current.json
 //
+// Repeated result lines with one name — a sweep run several times, or
+// -count>1 — become one row holding each metric's median.
+//
 // Meta (prints the recorded host parallelism of a trajectory file):
 //
 //	go run ./scripts/benchjson -meta BENCH_overhead.json
@@ -27,6 +30,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -119,7 +123,7 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-func parseBenchOutput(r *os.File) (*File, error) {
+func parseBenchOutput(r io.Reader) (*File, error) {
 	f := &File{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -159,7 +163,50 @@ func parseBenchOutput(r *os.File) (*File, error) {
 		}
 		f.Benchmarks = append(f.Benchmarks, res)
 	}
+	f.Benchmarks = foldRepeats(f.Benchmarks)
 	return f, sc.Err()
+}
+
+// foldRepeats merges results that share a name into one row, in
+// first-seen order: each metric becomes its median over the repeats that
+// report it, and the iteration count the median count.
+func foldRepeats(rs []Result) []Result {
+	byName := make(map[string][]Result, len(rs))
+	var order []string
+	for _, r := range rs {
+		if _, ok := byName[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, name := range order {
+		var iters []float64
+		samples := map[string][]float64{}
+		for _, r := range byName[name] {
+			iters = append(iters, float64(r.Iterations))
+			for unit, v := range r.Metrics {
+				samples[unit] = append(samples[unit], v)
+			}
+		}
+		merged := Result{Name: name, Iterations: int64(median(iters)), Metrics: map[string]float64{}}
+		for unit, vs := range samples {
+			merged.Metrics[unit] = median(vs)
+		}
+		out = append(out, merged)
+	}
+	return out
+}
+
+// median returns the middle of vs, or the mean of the two middle values
+// for an even count. It sorts vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // loadFile parses one committed trajectory document.

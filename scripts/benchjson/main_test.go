@@ -150,6 +150,47 @@ func TestGatePrefixRestrictsRows(t *testing.T) {
 	}
 }
 
+// TestParseFoldsRepeatsToMedian: a sweep run three times yields one row
+// per name holding each metric's median, in first-seen order, and a row
+// seen once passes through unchanged.
+func TestParseFoldsRepeatsToMedian(t *testing.T) {
+	in := `goos: linux
+BenchmarkStressOverhead/fanout/p1/s1 7 900 ns/op 19.9 ratio
+BenchmarkStressOverhead/fanout/native 7 45 ns/op
+BenchmarkStressOverhead/fanout/p1/s1 9 1500 ns/op 35.4 ratio
+BenchmarkOnce 3 10 ns/op
+BenchmarkStressOverhead/fanout/native 7 47 ns/op
+BenchmarkStressOverhead/fanout/p1/s1 8 1000 ns/op 21.0 ratio
+BenchmarkStressOverhead/fanout/native 5 44 ns/op
+`
+	f, err := parseBenchOutput(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Result{
+		{Name: "BenchmarkStressOverhead/fanout/p1/s1", Iterations: 8, Metrics: map[string]float64{"ns/op": 1000, "ratio": 21.0}},
+		{Name: "BenchmarkStressOverhead/fanout/native", Iterations: 7, Metrics: map[string]float64{"ns/op": 45}},
+		{Name: "BenchmarkOnce", Iterations: 3, Metrics: map[string]float64{"ns/op": 10}},
+	}
+	if len(f.Benchmarks) != len(want) {
+		t.Fatalf("got %d rows, want %d: %+v", len(f.Benchmarks), len(want), f.Benchmarks)
+	}
+	for i, w := range want {
+		g := f.Benchmarks[i]
+		if g.Name != w.Name || g.Iterations != w.Iterations || len(g.Metrics) != len(w.Metrics) {
+			t.Fatalf("row %d = %+v, want %+v", i, g, w)
+		}
+		for unit, v := range w.Metrics {
+			if g.Metrics[unit] != v {
+				t.Errorf("row %d %s = %v, want %v", i, unit, g.Metrics[unit], v)
+			}
+		}
+	}
+	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
+		t.Errorf("median of an even count = %v, want 2.5", got)
+	}
+}
+
 // TestBenchGateScriptFailsOnRegression execs the real gate script in
 // overhead-compare mode against a doctored regression and requires a
 // non-zero exit naming the offending metric — the CI contract, end to end.
