@@ -624,62 +624,6 @@ func BenchmarkAppendSampled(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeAdaptive compares a fixed batch of 1 against the self-tuning
-// controller on the same parallel pair workload: the controller pays a
-// latency probe around each reservation but may grow the batch to amortize
-// the tail fetch-and-add.
-func BenchmarkProbeAdaptive(b *testing.B) {
-	for _, mode := range []string{"static", "adaptive"} {
-		b.Run(mode, func(b *testing.B) {
-			const goroutines = 4
-			perThread := 2*(b.N/goroutines+b.N%goroutines) + 64 + 2
-			log, err := shmlog.New(goroutines * perThread)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := []probe.Option{probe.WithBatch(1)}
-			if mode == "adaptive" {
-				opts = []probe.Option{probe.WithAdaptiveBatch(1, 64)}
-			}
-			rt, err := probe.New(log, counter.NewTSC(), opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			threads := make([]*probe.Thread, goroutines)
-			for i := range threads {
-				threads[i] = rt.Thread()
-			}
-			counts := make([]int, goroutines)
-			for i := 0; i < goroutines; i++ {
-				counts[i] = b.N / goroutines
-			}
-			counts[0] += b.N % goroutines
-
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(th *probe.Thread, n int) {
-					defer wg.Done()
-					for i := 0; i < n; i++ {
-						th.Enter(0x400100)
-						th.Exit(0x400100)
-					}
-				}(threads[g], counts[g])
-			}
-			wg.Wait()
-			b.StopTimer()
-			rt.Flush()
-			if mode == "adaptive" {
-				grows, shrinks := rt.BatchAdjustments()
-				b.ReportMetric(float64(rt.Batch()), "final-batch")
-				b.ReportMetric(float64(grows), "grows")
-				b.ReportMetric(float64(shrinks), "shrinks")
-			}
-		})
-	}
-}
-
 // newFilledLog builds a committed log of exactly entries events.
 func newFilledLog(b *testing.B, entries int) *shmlog.Log {
 	b.Helper()

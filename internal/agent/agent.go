@@ -289,7 +289,9 @@ func (a *Agent) Metrics() []monitor.Metric {
 			segs = s.log.SegmentStats()
 			period = s.log.SamplePeriod()
 			masked = s.log.Masked()
-			batch = s.log.BatchSize()
+			// The header holds 0 unless a probe set a batch above the
+			// default of 1 (see probe.WithBatch).
+			batch = max(s.log.BatchSize(), 1)
 		}
 		if s.inc != nil {
 			open = s.inc.OpenFrames()

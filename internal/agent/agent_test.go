@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"teeperf/internal/counter"
 	"teeperf/internal/monitor"
+	"teeperf/internal/probe"
 	"teeperf/internal/recorder"
 	"teeperf/internal/shmlog"
 	"teeperf/internal/symtab"
@@ -474,6 +476,56 @@ func TestFleetMetricsAndEndpoints(t *testing.T) {
 	for _, want := range []string{"teeperf fleet agent", "<code>alpha</code>", "<code>beta</code>"} {
 		if !strings.Contains(index, want) {
 			t.Errorf("index missing %q", want)
+		}
+	}
+}
+
+// TestBatchSizeGauge: the agent reports the batch each session's probes
+// were configured with, read from the shared header: 16 for a session
+// probed at WithBatch(16), even after a default-batch runtime attached to
+// the same mapping, and 1 for a session probed at the default.
+func TestBatchSizeGauge(t *testing.T) {
+	requireMmap(t)
+	dir := t.TempDir()
+	probed := func(name string, opts ...probe.Option) *shmlog.Log {
+		log, err := shmlog.CreateFile(filepath.Join(dir, name+".shm"), 1<<12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := probe.New(log, counter.NewVirtual(1), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := rt.Thread()
+		for i := 0; i < 10; i++ {
+			th.Enter(0x1000)
+			th.Exit(0x1000)
+		}
+		rt.Flush()
+		return log
+	}
+	wide := probed("wide", probe.WithBatch(16))
+	if _, err := probe.New(wide, counter.NewVirtual(1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, log := range []*shmlog.Log{wide, probed("plain")} {
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	a := New(Config{Spool: dir})
+	defer a.Close()
+	a.ScrapeOnce()
+	rr := httptest.NewRecorder()
+	a.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	body := rr.Body.String()
+	for _, want := range []string{
+		`teeperf_probe_batch_size{session="wide"} 16`,
+		`teeperf_probe_batch_size{session="plain"} 1`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q\n%s", want, body)
 		}
 	}
 }

@@ -52,8 +52,8 @@ type Sample struct {
 	DropsPerSec   float64 `json:"drops_per_sec"`
 	// SamplePeriod is the probe sampling period in effect (1 = every call
 	// pair recorded). Masked is the cumulative count of probe events
-	// suppressed by sampling or deny masks, and BatchSize is the current
-	// per-thread reservation batch (static or adaptive).
+	// suppressed by sampling or deny masks, and BatchSize is the configured
+	// per-thread reservation batch.
 	SamplePeriod uint64 `json:"sample_period"`
 	Masked       uint64 `json:"masked"`
 	BatchSize    int    `json:"batch_size"`

@@ -58,7 +58,7 @@ func SessionMetrics(session string, s Sample, openFrames, funcs int) []Metric {
 		{"teeperf_open_frames", "Calls currently in flight (entered, not yet returned).", "gauge", lbl, float64(openFrames)},
 		{"teeperf_profile_functions", "Distinct functions in the live profile.", "gauge", lbl, float64(funcs)},
 		{"teeperf_probe_sample_period", "Probe sampling period (1 = every call pair recorded).", "gauge", lbl, float64(normPeriod(s.SamplePeriod))},
-		{"teeperf_probe_batch_size", "Per-thread slot reservation batch size (adaptive controllers move it live).", "gauge", lbl, float64(s.BatchSize)},
+		{"teeperf_probe_batch_size", "Per-thread slot reservation batch size.", "gauge", lbl, float64(s.BatchSize)},
 		{"teeperf_probe_masked_total", "Probe events suppressed by sampling or deny masks.", "counter", lbl, float64(s.Masked)},
 	}
 	// Sharded logs additionally break fill and drops down per shard, so a

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"teeperf/internal/counter"
 	"teeperf/internal/shmlog"
@@ -52,15 +51,10 @@ type Runtime struct {
 	src    counter.Source
 	filter *Filter
 	batch  int
-	// unbatched is set for batch 1 without an adaptive controller: each
-	// event then reserves and commits its one slot inside a single probe
-	// call, so threads hold no block between calls and flushes have
-	// nothing to release (see Thread.record).
+	// unbatched is set for batch 1: each event then reserves and commits
+	// its one slot inside a single probe call, so threads hold no block
+	// between calls and flushes have nothing to release (see Thread.record).
 	unbatched bool
-
-	// adaptive is non-nil when WithAdaptiveBatch is configured; threads then
-	// reserve adaptive.cur slots per block instead of the fixed batch size.
-	adaptive *adaptiveBatch
 
 	nextTID atomic.Uint64
 	drops   atomic.Uint64
@@ -79,9 +73,8 @@ type Option interface {
 }
 
 type runtimeOptions struct {
-	filter   *Filter
-	batch    int
-	adaptive *adaptiveBatch
+	filter *Filter
+	batch  int
 }
 
 type filterOption struct{ f *Filter }
@@ -99,94 +92,13 @@ func (o batchOption) apply(opts *runtimeOptions) { opts.batch = int(o) }
 // WithBatch makes each thread reserve blocks of k log slots with a single
 // tail fetch-and-add and fill them locally, cutting the contended global
 // atomic from one per event to one per k events. The default (k = 1)
-// reserves per event, exactly like shmlog.Append, and (without
-// WithAdaptiveBatch) skips the flush handshake, since a thread then holds
-// no block between events. Unused trailing slots of a block are released
-// (tombstoned) when the thread flushes, observes a rotation, or the
-// runtime stops.
+// reserves per event, exactly like shmlog.Append, and skips the flush
+// handshake, since a thread then holds no block between events. Unused
+// trailing slots of a block are released (tombstoned) when the thread
+// flushes, observes a rotation, or the runtime stops. A k above 1 is
+// mirrored into the log header (shmlog.SetBatchSize) so external observers
+// of a shared mapping can export it.
 func WithBatch(k int) Option { return batchOption(k) }
-
-// adaptiveBatch is the self-tuning batch controller: the live batch size
-// plus the pressure signals it steers by. Decisions are made on the
-// reservation path (once per block, so the cost is amortized over the batch)
-// every evalEvery reservations: new drops since the last evaluation halve
-// the batch (a big block parked on a full segment wastes slots other
-// threads could have used), while high reservation latency or a segment
-// filling past the high-water mark double it (amortize the contended
-// fetch-and-add over more events). The current size is mirrored into the
-// log header (shmlog.SetBatchSize) so external observers can export it.
-type adaptiveBatch struct {
-	min, max int64
-	cur      atomic.Int64
-
-	resv      atomic.Uint64 // reservations since start (eval trigger)
-	latSum    atomic.Int64  // summed reservation latency this window (ns)
-	lastDrops atomic.Uint64 // drop count at the last evaluation
-	grows     atomic.Uint64
-	shrinks   atomic.Uint64
-}
-
-const (
-	// adaptiveEvalEvery is the evaluation cadence in reservations.
-	adaptiveEvalEvery = 32
-	// adaptiveLatencyNS is the per-reservation latency (window average)
-	// above which the controller grows the batch.
-	adaptiveLatencyNS = 1000
-	// adaptiveFillHigh is the segment fill fraction above which the
-	// controller grows the batch.
-	adaptiveFillHigh = 0.5
-)
-
-// note records one reservation's latency and runs the controller every
-// adaptiveEvalEvery reservations. log/shard identify the segment just
-// reserved from (its fill is the pressure signal).
-func (ad *adaptiveBatch) note(rt *Runtime, log *shmlog.Log, shard int, lat time.Duration) {
-	ad.latSum.Add(int64(lat))
-	if ad.resv.Add(1)%adaptiveEvalEvery != 0 {
-		return
-	}
-	avgLat := ad.latSum.Swap(0) / adaptiveEvalEvery
-	drops := rt.drops.Load()
-	cur := ad.cur.Load()
-	switch {
-	case drops > ad.lastDrops.Swap(drops):
-		// Drop rate climbed: shrink so a writer parked on a full segment
-		// holds fewer wasted slots and overflow is spread more fairly.
-		if next := cur / 2; next >= ad.min {
-			ad.cur.Store(next)
-			log.SetBatchSize(uint64(next))
-			ad.shrinks.Add(1)
-		} else if cur != ad.min {
-			ad.cur.Store(ad.min)
-			log.SetBatchSize(uint64(ad.min))
-			ad.shrinks.Add(1)
-		}
-	case avgLat > adaptiveLatencyNS || log.ShardFill(shard) > adaptiveFillHigh:
-		// Reservation latency or fill pressure rose: grow so each contended
-		// fetch-and-add buys more locally-owned slots.
-		if next := cur * 2; next <= ad.max {
-			ad.cur.Store(next)
-			log.SetBatchSize(uint64(next))
-			ad.grows.Add(1)
-		}
-	}
-}
-
-type adaptiveOption struct{ min, max int }
-
-func (o adaptiveOption) apply(opts *runtimeOptions) {
-	opts.adaptive = &adaptiveBatch{min: int64(o.min), max: int64(o.max)}
-}
-
-// WithAdaptiveBatch makes the per-thread reservation batch size self-tuning
-// within [min, max]: the controller grows it when reservation latency or
-// segment fill rises and shrinks it when the drop rate climbs, re-evaluating
-// every few reservations so the cost stays off the per-event path. The
-// starting size is WithBatch's k clamped into [min, max] (min when WithBatch
-// is not given). The live size is exported via Runtime.Batch, mirrored into
-// the log header for external observers, and surfaced as the
-// teeperf_probe_batch_size gauge.
-func WithAdaptiveBatch(min, max int) Option { return adaptiveOption{min: min, max: max} }
 
 // New creates a probe runtime writing to log with timestamps from src.
 func New(log *shmlog.Log, src counter.Source, opts ...Option) (*Runtime, error) {
@@ -206,48 +118,24 @@ func New(log *shmlog.Log, src counter.Source, opts ...Option) (*Runtime, error) 
 	if o.batch == 0 {
 		o.batch = 1
 	}
-	if ad := o.adaptive; ad != nil {
-		if ad.min < 1 || ad.max < ad.min {
-			return nil, fmt.Errorf("probe: adaptive batch bounds must satisfy 1 <= min <= max, got [%d, %d]", ad.min, ad.max)
-		}
-		start := int64(o.batch)
-		if start < ad.min {
-			start = ad.min
-		}
-		if start > ad.max {
-			start = ad.max
-		}
-		ad.cur.Store(start)
-		log.SetBatchSize(uint64(start))
+	// Only a batch above the default is mirrored, so a default-batch
+	// runtime attached to a shared mapping never overwrites the value an
+	// application runtime stored there.
+	if o.batch > 1 {
+		log.SetBatchSize(uint64(o.batch))
 	}
 	rt := &Runtime{
 		src:       src,
 		filter:    o.filter,
 		batch:     o.batch,
-		adaptive:  o.adaptive,
-		unbatched: o.batch == 1 && o.adaptive == nil,
+		unbatched: o.batch == 1,
 	}
 	rt.log.Store(log)
 	return rt, nil
 }
 
-// Batch returns the slot-reservation batch size: the live controller value
-// under WithAdaptiveBatch, the configured constant otherwise.
-func (rt *Runtime) Batch() int {
-	if rt.adaptive != nil {
-		return int(rt.adaptive.cur.Load())
-	}
-	return rt.batch
-}
-
-// BatchAdjustments returns how many times the adaptive controller grew and
-// shrank the batch size (both zero with a fixed batch).
-func (rt *Runtime) BatchAdjustments() (grows, shrinks uint64) {
-	if rt.adaptive == nil {
-		return 0, 0
-	}
-	return rt.adaptive.grows.Load(), rt.adaptive.shrinks.Load()
-}
+// Batch returns the configured slot-reservation batch size.
+func (rt *Runtime) Batch() int { return rt.batch }
 
 // Masked returns how many events were suppressed by the sampling period or
 // a deny mask, accumulated across log rotations. Threads flush their local
@@ -563,17 +451,7 @@ func (t *Thread) unlock() {
 // segment was full at the last reservation attempt. Called with busy held.
 func (t *Thread) nextSlot(log *shmlog.Log) (slot uint64, ok bool) {
 	if t.blk.next == t.blk.end && !t.blk.full {
-		var (
-			start uint64
-			n     int
-		)
-		if ad := t.rt.adaptive; ad != nil {
-			begin := time.Now()
-			start, n = log.ReserveShard(t.blk.shard, int(ad.cur.Load()))
-			ad.note(t.rt, log, t.blk.shard, time.Since(begin))
-		} else {
-			start, n = log.ReserveShard(t.blk.shard, t.rt.batch)
-		}
+		start, n := log.ReserveShard(t.blk.shard, t.rt.batch)
 		if n == 0 {
 			t.blk.full = true
 		} else {

@@ -1,12 +1,10 @@
 package probe
 
 // Tests for the adaptive probe plane: call-pair sampling, live deny masks
-// (thread and address), the masked-event accounting, and the self-tuning
-// reservation batch controller.
+// (thread and address) and the masked-event accounting.
 
 import (
 	"testing"
-	"time"
 
 	"teeperf/internal/counter"
 	"teeperf/internal/shmlog"
@@ -217,99 +215,4 @@ func TestPeriodOneIdenticalEntries(t *testing.T) {
 			t.Fatalf("entry %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-}
-
-func TestAdaptiveBatchValidation(t *testing.T) {
-	log, err := shmlog.New(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(log, counter.NewVirtual(1), WithAdaptiveBatch(0, 8)); err == nil {
-		t.Error("min 0 should fail")
-	}
-	if _, err := New(log, counter.NewVirtual(1), WithAdaptiveBatch(8, 4)); err == nil {
-		t.Error("min > max should fail")
-	}
-}
-
-// TestAdaptiveControllerPolicy exercises the controller decisions directly:
-// sustained reservation latency above the threshold doubles the batch,
-// fresh drops halve it, and both moves stay inside [min, max] and are
-// mirrored into the shared header word.
-func TestAdaptiveControllerPolicy(t *testing.T) {
-	log, err := shmlog.New(1 << 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := New(log, counter.NewVirtual(1), WithAdaptiveBatch(1, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ad := rt.adaptive
-	start := rt.Batch()
-
-	// One evaluation window of slow reservations: grow.
-	for i := 0; i < adaptiveEvalEvery; i++ {
-		ad.note(rt, log, 0, 2*adaptiveLatencyNS*time.Nanosecond)
-	}
-	if got := rt.Batch(); got != start*2 {
-		t.Fatalf("after slow window: batch %d, want %d", got, start*2)
-	}
-	if got := log.BatchSize(); got != uint64(start*2) {
-		t.Fatalf("header batch word = %d, want %d", got, start*2)
-	}
-
-	// Drops arrived since the last evaluation: shrink, even if latency is low.
-	rt.drops.Add(3)
-	for i := 0; i < adaptiveEvalEvery; i++ {
-		ad.note(rt, log, 0, 0)
-	}
-	if got := rt.Batch(); got != start {
-		t.Fatalf("after drops: batch %d, want %d", got, start)
-	}
-	grows, shrinks := rt.BatchAdjustments()
-	if grows != 1 || shrinks != 1 {
-		t.Fatalf("adjustments = %d grows, %d shrinks; want 1 and 1", grows, shrinks)
-	}
-
-	// Quiet windows hold steady.
-	for i := 0; i < adaptiveEvalEvery; i++ {
-		ad.note(rt, log, 0, 0)
-	}
-	if got := rt.Batch(); got != start {
-		t.Fatalf("quiet window moved the batch: %d, want %d", got, start)
-	}
-}
-
-// TestAdaptiveBatchEndToEnd drives real events through an adaptive runtime
-// on a small log: the shard fills past the grow threshold, so the
-// controller must have grown the batch at least once, and every event still
-// lands or is accounted as a drop.
-func TestAdaptiveBatchEndToEnd(t *testing.T) {
-	log, err := shmlog.New(1 << 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := New(log, counter.NewVirtual(1), WithAdaptiveBatch(1, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := rt.Thread()
-	const pairs = 900 // 1800 events into 2048 capacity: fill > 0.5
-	for i := 0; i < pairs; i++ {
-		th.Enter(0x40)
-		th.Exit(0x40)
-	}
-	rt.Flush()
-	grows, _ := rt.BatchAdjustments()
-	if grows == 0 {
-		t.Fatalf("shard filled past %.0f%% without a grow (batch %d)", adaptiveFillHigh*100, rt.Batch())
-	}
-	// Len() includes reserved-then-released leftovers from the final batch,
-	// so count committed entries.
-	committed := uint64(len(log.Entries()))
-	if got := committed + rt.Dropped(); got != 2*pairs {
-		t.Fatalf("committed %d + dropped %d != %d events", committed, rt.Dropped(), 2*pairs)
-	}
-	assertBalanced(t, log)
 }

@@ -102,8 +102,6 @@ type config struct {
 	sync         shmlog.Sync
 	batch        int
 	samplePeriod uint64
-	adaptMin     int
-	adaptMax     int
 	inject       *faultinject.Injector
 	shared       string
 	table        *symtab.Table
@@ -180,14 +178,6 @@ func WithBatch(k int) Option {
 // folded weights back up, and can be changed live with SetSamplePeriod.
 func WithSamplePeriod(n uint64) Option {
 	return optionFunc(func(c *config) { c.samplePeriod = n })
-}
-
-// WithAdaptiveBatch makes the probe batch size self-tuning within [min, max]
-// (see probe.WithAdaptiveBatch): it grows under reservation latency or fill
-// pressure and shrinks when the drop rate climbs. The live size and the
-// controller's decisions are exported through Stats.
-func WithAdaptiveBatch(min, max int) Option {
-	return optionFunc(func(c *config) { c.adaptMin, c.adaptMax = min, max })
 }
 
 // WithFaultInjector installs a fault injector on the recorder's
@@ -326,9 +316,6 @@ func newRecorder(tab *symtab.Table, log *shmlog.Log, cfg config, host bool) (*Re
 	}
 	if cfg.batch > 0 {
 		probeOpts = append(probeOpts, probe.WithBatch(cfg.batch))
-	}
-	if cfg.adaptMax > 0 {
-		probeOpts = append(probeOpts, probe.WithAdaptiveBatch(cfg.adaptMin, cfg.adaptMax))
 	}
 	rt, err := probe.New(log, r.src, probeOpts...)
 	if err != nil {
@@ -504,12 +491,8 @@ type Stats struct {
 	// Masked counts events suppressed by the sampling period or a deny
 	// mask (accumulated across rotations).
 	Masked uint64
-	// BatchSize is the probe runtime's live reservation batch size — the
-	// adaptive controller's current value, or the configured constant.
+	// BatchSize is the probe runtime's configured reservation batch size.
 	BatchSize int
-	// BatchGrows and BatchShrinks count the adaptive batch controller's
-	// decisions (zero with a fixed batch).
-	BatchGrows, BatchShrinks uint64
 }
 
 // Stats returns the run summary.
@@ -547,7 +530,6 @@ func (r *Recorder) Stats() Stats {
 	if period == 0 {
 		period = 1
 	}
-	grows, shrinks := r.rt.BatchAdjustments()
 	st := Stats{
 		Entries:      log.Len(),
 		Dropped:      dropped,
@@ -558,8 +540,6 @@ func (r *Recorder) Stats() Stats {
 		SamplePeriod: period,
 		Masked:       masked,
 		BatchSize:    r.rt.Batch(),
-		BatchGrows:   grows,
-		BatchShrinks: shrinks,
 	}
 	if st.Capacity > 0 {
 		st.FillPercent = 100 * float64(st.Entries) / float64(st.Capacity)

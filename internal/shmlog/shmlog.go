@@ -26,9 +26,9 @@
 //	                         address deny masks — read by every probe,
 //	                         written rarely by the controlling side.
 //	line 2 (bytes 128..191): legacy tail slot (persisted total), dropped
-//	                         counter, masked-event counter, current batch
-//	                         size (cold: touched only on overflow or by
-//	                         the batch controller).
+//	                         counter, masked-event counter, configured
+//	                         batch size (cold: touched only on overflow
+//	                         or once at probe setup).
 //	line 3 (bytes 192..255): counter — the software-counter thread's
 //	                         tight-loop increment word.
 //	byte 256: segment 0 header (one cache line: tail, capacity, dropped),
@@ -156,7 +156,7 @@ const (
 	wordTail      = 16 // v2 tail / v3 persisted total (cache line 2)
 	wordDropped   = 17 // drop counter (cold: touched only when full)
 	wordMasked    = 18 // events suppressed by sampling/masks (cold, flushed in bulk)
-	wordBatchSize = 19 // live batch size mirrored by the adaptive controller
+	wordBatchSize = 19 // configured probe batch, stored once when > 1 (0 reads as 1)
 	wordCounter   = 24 // cache line 3
 )
 
@@ -831,24 +831,14 @@ func (l *Log) NoteMasked(n uint64) {
 	}
 }
 
-// BatchSize returns the live batch size mirrored into the header by the
-// adaptive batch controller (zero when no controller ever wrote it).
+// BatchSize returns the probe batch size mirrored into the header by
+// probe.New (zero when the probe runs at the default batch of 1).
 func (l *Log) BatchSize() uint64 { return atomic.LoadUint64(&l.words[wordBatchSize]) }
 
-// SetBatchSize mirrors the probe runtime's current batch size into the
+// SetBatchSize mirrors the probe runtime's configured batch size into the
 // header so external observers (the fleet agent's read-only mapping) can
 // export it without an in-process channel.
 func (l *Log) SetBatchSize(n uint64) { atomic.StoreUint64(&l.words[wordBatchSize], n) }
-
-// ShardFill returns one segment's fill fraction in [0, 1] (reserved slots
-// over capacity). The adaptive batch controller samples it on the
-// reservation path.
-func (l *Log) ShardFill(shard int) float64 {
-	if shard < 0 || shard >= l.shards || l.segCap == 0 {
-		return 0
-	}
-	return float64(l.segLen(shard)) / float64(l.segCap)
-}
 
 // Mapped reports whether the log is a file-backed shared mapping.
 func (l *Log) Mapped() bool { return l.mapped != nil }

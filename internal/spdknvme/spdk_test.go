@@ -324,7 +324,10 @@ func TestPerfDeterministicChecksum(t *testing.T) {
 
 // TestFig6Hotspots reproduces the Fig 6 (top) profile with real injected
 // penalties: on the naive SGX port, getpid dominates self time with rdtsc
-// second; after the optimization both fall to ~0 (Fig 6 bottom).
+// second; after the optimization both fall to ~0 (Fig 6 bottom). The two
+// ports run in three interleaved rounds and the bounds apply to each
+// fraction's median (getpid must be hottest in most rounds), so a burst of
+// load from other processes skews one round instead of the only one.
 func TestFig6Hotspots(t *testing.T) {
 	if testing.Short() || raceinfo.Enabled {
 		t.Skip("timing-sensitive; skipped under -race and -short")
@@ -340,27 +343,36 @@ func TestFig6Hotspots(t *testing.T) {
 		}
 		return p
 	}
+	const rounds = 3
+	var naiveGP, naiveRD, optGP, optRD []float64
+	getpidHottest := 0
+	for round := 0; round < rounds; round++ {
+		naive := run(ModeNaive)
+		naiveGP = append(naiveGP, naive.SelfFraction("getpid"))
+		naiveRD = append(naiveRD, naive.SelfFraction("rdtsc"))
+		if top := naive.Top(1); len(top) > 0 && top[0].Name == "getpid" {
+			getpidHottest++
+		}
+		opt := run(ModeOptimized)
+		optGP = append(optGP, opt.SelfFraction("getpid"))
+		optRD = append(optRD, opt.SelfFraction("rdtsc"))
+	}
 
-	naive := run(ModeNaive)
-	gp := naive.SelfFraction("getpid")
-	rd := naive.SelfFraction("rdtsc")
+	gp, rd := median(naiveGP), median(naiveRD)
 	if gp < 0.4 {
-		t.Errorf("naive getpid self fraction = %.2f, want dominant (paper: ~0.72)", gp)
+		t.Errorf("naive getpid self fraction = %.2f, want dominant (paper: ~0.72; rounds: %.2f)", gp, naiveGP)
 	}
 	if rd <= 0 || rd >= gp {
-		t.Errorf("naive rdtsc fraction = %.2f, want > 0 and below getpid (%.2f)", rd, gp)
+		t.Errorf("naive rdtsc fraction = %.2f, want > 0 and below getpid (%.2f; rounds: %.2f)", rd, gp, naiveRD)
 	}
-	top := naive.Top(1)
-	if len(top) == 0 || top[0].Name != "getpid" {
-		t.Errorf("naive hottest = %v, want getpid", top)
+	if 2*getpidHottest <= rounds {
+		t.Errorf("naive hottest = getpid in %d of %d rounds, want most", getpidHottest, rounds)
 	}
-
-	opt := run(ModeOptimized)
-	if f := opt.SelfFraction("getpid"); f > 0.05 {
-		t.Errorf("optimized getpid fraction = %.2f, want ~0", f)
+	if f := median(optGP); f > 0.05 {
+		t.Errorf("optimized getpid fraction = %.2f, want ~0 (rounds: %.3f)", f, optGP)
 	}
-	if f := opt.SelfFraction("rdtsc"); f > 0.05 {
-		t.Errorf("optimized rdtsc fraction = %.2f, want ~0", f)
+	if f := median(optRD); f > 0.05 {
+		t.Errorf("optimized rdtsc fraction = %.2f, want ~0 (rounds: %.3f)", f, optRD)
 	}
 }
 

@@ -12,7 +12,6 @@
 SHMLOG_BENCHES=(
     BenchmarkAppendParallel
     BenchmarkAppendSampled
-    BenchmarkProbeAdaptive
     BenchmarkLogWriteTo
     BenchmarkLogRead
 )

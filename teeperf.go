@@ -154,15 +154,6 @@ func WithSample(n uint64) Option {
 	})
 }
 
-// WithAdaptiveBatch replaces the fixed reservation batch with a
-// self-tuning controller bounded by [min, max]: the batch grows when
-// reservation latency or shard fill rises and shrinks when drops climb.
-func WithAdaptiveBatch(min, max int) Option {
-	return optionFunc(func(s *Session) {
-		s.recOpts = append(s.recOpts, recorder.WithAdaptiveBatch(min, max))
-	})
-}
-
 // WithSelective restricts recording to functions whose registered name
 // satisfies pred — selective code profiling.
 func WithSelective(pred func(name string) bool) Option {
