@@ -475,11 +475,10 @@ func (s *Session) ingestHistoryLocked(cycle uint64, cfg Config) {
 	}
 }
 
-// adoptTableLocked installs a freshly published symbol table. The
-// incremental analyzer resolves names at snapshot time through the table
-// pointer it was built with, so the new table's contents are copied in via
-// the load-bias anchor and a rebuilt Incremental fed from scratch is not
-// needed: names attach to addresses, and addresses were already folded.
+// adoptTableLocked installs a freshly published symbol table under the
+// log's load-bias anchor. Incremental.SetTable re-resolves what was already
+// folded by address and drops its address memo, so no Incremental has to
+// be rebuilt and fed from scratch.
 func (s *Session) adoptTableLocked(cycle uint64, tab *symtab.Table) {
 	if addr := s.log.ProfilerAddr(); addr != 0 {
 		tab.SetLoadBias(addr)

@@ -166,33 +166,37 @@ func closeTag(cr *closedRec) uint64 { return uint64(cr.at) }
 
 // threadResult is one thread's reconstruction: its stack machine and, as
 // the machine's sink, the records it closed, each tagged for the merge, and
-// the raw per-path totals of those records.
+// the thread's call-path table, which names every frame and holds the raw
+// per-path totals of those records.
 type threadResult struct {
 	ts        threadStack
 	paths     pathTable
+	tab       *symtab.Table
 	recs      []closedRec
 	at        int // merge tag of the entry being fed
 	truncated int
 }
 
+// opened names a frame by its call-path node, so an address is resolved
+// once per distinct path, not once per call.
+func (r *threadResult) opened(parent int, addr uint64) int {
+	return r.paths.child(parent, addr, false, r.tab)
+}
+
 func (r *threadResult) closed(f closedFrame, under []frame) {
-	n := &r.paths.nodes[f.path]
+	n := &r.paths.nodes[f.id]
 	n.calls++
 	n.incl += f.incl
 	n.self += f.self
-	if f.self > 0 || f.name == TruncatedFrameName {
+	if f.self > 0 || n.name == TruncatedFrameName {
 		n.folded = true
-	}
-	caller := ""
-	if len(under) > 0 {
-		caller = under[len(under)-1].name
 	}
 	r.recs = append(r.recs, closedRec{
 		rec: Record{
 			Thread:    r.ts.id,
-			Name:      f.name,
+			Name:      n.name,
 			Addr:      f.addr,
-			Caller:    caller,
+			Caller:    r.paths.nodes[n.parent].name, // the root node's name is ""
 			Depth:     len(under),
 			Start:     f.start,
 			End:       f.end,
@@ -394,19 +398,19 @@ func AnalyzeWith(log *shmlog.Log, tab *symtab.Table, opts Options) (*Profile, er
 func analyzeThread(r *threadResult, g *threadEntries, tab *symtab.Table, forceAt int, lenient bool) {
 	r.ts.id = g.id
 	r.paths = newPathTable()
-	r.ts.paths = &r.paths
+	r.tab = tab
 	for k := range g.entries {
 		e := &g.entries[k]
 		r.at = g.at[k]
-		if !r.ts.feed(*e, tab, r) && lenient {
+		if !r.ts.feed(*e, r) && lenient {
 			// The call side was lost with the torn region: attribute the
 			// orphaned return to a zero-width synthetic truncated frame so
 			// the salvage scar is visible. Its path is registered in the
 			// folded map even at zero weight, so flame graphs show WHERE
 			// the torn activity happened.
-			path := r.paths.child(r.ts.topPath(), 0, TruncatedFrameName, true)
+			path := r.paths.child(r.ts.topID(), 0, true, nil)
 			r.closed(closedFrame{
-				frame:     frame{addr: e.Addr, name: TruncatedFrameName, start: e.Counter, path: path},
+				frame:     frame{addr: e.Addr, start: e.Counter, id: path},
 				end:       e.Counter,
 				truncated: true,
 			}, r.ts.stack)

@@ -11,17 +11,22 @@ import (
 // FuzzAnalyzerEngines decodes bytes into a call/return stream and checks
 // every engine against the others on it: serial and parallel AnalyzeWith
 // agree record for record, a drained Incremental equals Analyze, and
-// AnalyzeRecovered accepts the log.
+// AnalyzeRecovered accepts the log. The Incremental starts on an empty
+// table, as a fleet agent does before a symbol side file appears, and
+// switches to the real one part way through the stream.
 //
-// The first byte picks the header sampling period (none, 1, 8 or 64). Each
-// following byte pair is one entry: the first byte's low two bits pick
-// thread 1-4, bit 2 the kind, bits 3-5 the address (six registered
-// functions, otherwise one address no symbol covers) and bits 6-7 == 3 a
-// counter step backwards (TSC skew); the second byte is the counter step.
+// The first byte's bits 0-1 pick the header sampling period (none, 1, 8 or
+// 64) and its upper six bits the switch point, from before the first entry
+// (0) to after the last (63). Each following byte pair is one entry: the
+// first byte's low two bits pick thread 1-4, bit 2 the kind, bits 3-5 the
+// address (six registered functions, otherwise one address no symbol
+// covers) and bits 6-7 == 3 a counter step backwards (TSC skew); the second
+// byte is the counter step.
 func FuzzAnalyzerEngines(f *testing.F) {
 	f.Add([]byte{0, 0x00, 3, 0x08, 2, 0x0C, 4, 0x04, 1})
 	f.Add([]byte{2, 0x01, 1, 0x02, 1, 0x05, 9, 0xC6, 3, 0x3C, 1, 0x0D, 2})
 	f.Add([]byte{3, 0x00, 5, 0x30, 1, 0x34, 7, 0xC4, 2, 0x07, 1})
+	f.Add([]byte{0x81, 0x00, 3, 0x08, 2, 0x0D, 1, 0x00, 4, 0x04, 1, 0x0C, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 1<<12 {
 			return
@@ -78,9 +83,13 @@ func FuzzAnalyzerEngines(f *testing.F) {
 			t.Fatal("records differ between serial and parallel analysis")
 		}
 
-		inc := NewIncremental(tab)
+		entries := log.Cursor().Next(nil)
+		cut := len(entries) * int(data[0]>>2) / 63
+		inc := NewIncremental(symtab.New())
 		inc.SetSamplePeriod(log.SamplePeriod())
-		feedAllFromLog(inc, log)
+		inc.FeedAll(entries[:cut])
+		inc.SetTable(tab)
+		inc.FeedAll(entries[cut:])
 		live := inc.Snapshot(0)
 		assertTablesMatch(t, live, serial)
 		if live.Unmatched != serial.Unmatched || live.OpenFrames != serial.Truncated {

@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"slices"
 	"sort"
 
 	"teeperf/internal/shmlog"
@@ -26,32 +27,63 @@ import (
 // slots entirely — so Incremental only ever sees committed events, each
 // thread's in order.
 //
+// Each address is resolved to a name once: the first call at an address
+// memoizes its function index, and later calls and closes touch no string.
+// The memo is dropped when SetTable swaps the table and when the table's
+// load bias moves, which FeedAll checks once per batch.
+//
 // An Incremental is not safe for concurrent use; the monitor serializes
 // access to it.
 type Incremental struct {
-	tab     *symtab.Table
 	threads map[uint64]*threadStack
 	order   []uint64
 	live    liveTotals
 }
 
 // liveTotals is the live table's running aggregate: the sink Incremental's
-// stack machines close frames into. It applies the sampling period, so
-// reconstruction stays raw exactly like the offline analyzer's, and a
-// drained snapshot still equals Analyze's result on sampled logs.
+// stack machines open and close frames into. A frame's id is its function
+// index in funcs. It applies the sampling period, so reconstruction stays
+// raw exactly like the offline analyzer's, and a drained snapshot still
+// equals Analyze's result on sampled logs.
 type liveTotals struct {
-	funcs      map[string]*LiveFunc
+	tab        *symtab.Table
+	bias       int64          // tab's load bias when byAddr was filled
+	byAddr     map[uint64]int // function index per address: the name memo
+	byName     map[string]int // function index per display name
+	funcs      []LiveFunc
 	period     uint64 // weight multiplier, >= 1
 	calls      uint64
 	totalTicks uint64 // inclusive ticks of closed root frames
 }
 
-func (lt *liveTotals) closed(f closedFrame, under []frame) {
-	lf, ok := lt.funcs[f.name]
-	if !ok {
-		lf = &LiveFunc{Name: f.name, addr: f.addr}
-		lt.funcs[f.name] = lf
+// opened returns addr's function index, resolving its name the first time
+// the address is seen. Addresses that display alike share one index.
+func (lt *liveTotals) opened(_ int, addr uint64) int {
+	if i, ok := lt.byAddr[addr]; ok {
+		return i
 	}
+	name := lt.tab.Name(addr)
+	i, ok := lt.byName[name]
+	if !ok {
+		i = len(lt.funcs)
+		lt.funcs = append(lt.funcs, LiveFunc{Name: name, addr: addr})
+		lt.byName[name] = i
+	}
+	lt.byAddr[addr] = i
+	return i
+}
+
+// checkBias drops the memo when the table's load bias has moved since it
+// was filled: an address then resolves to another function.
+func (lt *liveTotals) checkBias() {
+	if b := lt.tab.LoadBias(); b != lt.bias {
+		lt.bias = b
+		clear(lt.byAddr)
+	}
+}
+
+func (lt *liveTotals) closed(f closedFrame, under []frame) {
+	lf := &lt.funcs[f.id]
 	lf.Calls += lt.period
 	lf.Incl += f.incl * lt.period
 	lf.Self += f.self * lt.period
@@ -71,8 +103,9 @@ type LiveFunc struct {
 	// Incl and Self are total inclusive and exclusive ticks.
 	Incl, Self uint64
 
-	// addr remembers one runtime address of the function so SetTable can
-	// re-resolve accumulated totals when symbols arrive mid-stream.
+	// addr remembers the first runtime address seen for the function so
+	// SetTable can re-resolve accumulated totals when symbols arrive
+	// mid-stream.
 	addr uint64
 }
 
@@ -111,9 +144,14 @@ func (t *LiveTable) SelfPercent(f LiveFunc) float64 {
 // before feeding entries, exactly as Analyze does.
 func NewIncremental(tab *symtab.Table) *Incremental {
 	return &Incremental{
-		tab:     tab,
 		threads: make(map[uint64]*threadStack),
-		live:    liveTotals{funcs: make(map[string]*LiveFunc), period: 1},
+		live: liveTotals{
+			tab:    tab,
+			bias:   tab.LoadBias(),
+			byAddr: make(map[uint64]int),
+			byName: make(map[string]int),
+			period: 1,
+		},
 	}
 }
 
@@ -134,20 +172,26 @@ func (inc *Incremental) SamplePeriod() uint64 { return inc.live.period }
 
 // Feed folds one log entry into the live table.
 func (inc *Incremental) Feed(e shmlog.Entry) {
+	inc.live.checkBias()
+	inc.feed(e)
+}
+
+// FeedAll folds a batch of entries in order.
+func (inc *Incremental) FeedAll(entries []shmlog.Entry) {
+	inc.live.checkBias()
+	for _, e := range entries {
+		inc.feed(e)
+	}
+}
+
+func (inc *Incremental) feed(e shmlog.Entry) {
 	ts, ok := inc.threads[e.ThreadID]
 	if !ok {
 		ts = &threadStack{id: e.ThreadID}
 		inc.threads[e.ThreadID] = ts
 		inc.order = append(inc.order, e.ThreadID)
 	}
-	ts.feed(e, inc.tab, &inc.live)
-}
-
-// FeedAll folds a batch of entries in order.
-func (inc *Incremental) FeedAll(entries []shmlog.Entry) {
-	for _, e := range entries {
-		inc.Feed(e)
-	}
+	ts.feed(e, &inc.live)
 }
 
 // Entries returns how many log entries have been folded in.
@@ -182,30 +226,31 @@ func (inc *Incremental) OpenFrames() int {
 // how an external observer (the fleet agent) handles symbols that arrive
 // after entries were already folded: addresses were accumulated under
 // their placeholder "0x…" names, and the fresh table gives them real ones.
-// Totals that re-resolve to the same name are merged.
+// Totals that re-resolve to the same name are merged. The address memo
+// starts over under the new table.
 func (inc *Incremental) SetTable(tab *symtab.Table) {
-	if tab == nil || tab == inc.tab {
+	lt := &inc.live
+	if tab == nil || tab == lt.tab {
 		return
 	}
-	inc.tab = tab
+	old := lt.funcs
+	lt.tab, lt.bias, lt.funcs = tab, tab.LoadBias(), nil
+	clear(lt.byAddr)
+	clear(lt.byName)
+	for _, lf := range old {
+		if lf.Calls == 0 {
+			continue // only open frames hold it; they re-resolve below
+		}
+		f := &lt.funcs[lt.opened(0, lf.addr)]
+		f.Calls += lf.Calls
+		f.Incl += lf.Incl
+		f.Self += lf.Self
+	}
 	for _, ts := range inc.threads {
 		for i := range ts.stack {
-			ts.stack[i].name = tab.Name(ts.stack[i].addr)
+			ts.stack[i].id = lt.opened(0, ts.stack[i].addr)
 		}
 	}
-	funcs := make(map[string]*LiveFunc, len(inc.live.funcs))
-	for _, lf := range inc.live.funcs {
-		name := tab.Name(lf.addr)
-		lf.Name = name
-		if prev, ok := funcs[name]; ok {
-			prev.Calls += lf.Calls
-			prev.Incl += lf.Incl
-			prev.Self += lf.Self
-		} else {
-			funcs[name] = lf
-		}
-	}
-	inc.live.funcs = funcs
 }
 
 // Snapshot returns the current live table. Frames still open are
@@ -215,12 +260,7 @@ func (inc *Incremental) SetTable(tab *symtab.Table) {
 // returns every function.
 func (inc *Incremental) Snapshot(top int) LiveTable {
 	snap := inc.live
-	snap.funcs = make(map[string]*LiveFunc, len(inc.live.funcs))
-	held := make([]LiveFunc, 0, len(inc.live.funcs))
-	for name, lf := range inc.live.funcs {
-		held = append(held, *lf)
-		snap.funcs[name] = &held[len(held)-1]
-	}
+	snap.funcs = slices.Clone(inc.live.funcs)
 
 	t := LiveTable{Threads: len(inc.threads)}
 	var cp threadStack
@@ -236,10 +276,9 @@ func (inc *Incremental) Snapshot(top int) LiveTable {
 	}
 	t.TotalTicks, t.Calls = snap.totalTicks, snap.calls
 
-	t.Funcs = make([]LiveFunc, 0, len(snap.funcs))
-	for _, lf := range snap.funcs {
-		t.Funcs = append(t.Funcs, *lf)
-	}
+	// Every row has closed a frame or has one open, which closeAll just
+	// closed, so no row is empty.
+	t.Funcs = snap.funcs
 	sort.Slice(t.Funcs, func(i, j int) bool {
 		if t.Funcs[i].Self != t.Funcs[j].Self {
 			return t.Funcs[i].Self > t.Funcs[j].Self

@@ -2,9 +2,12 @@ package analyzer
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"teeperf/internal/shmlog"
+	"teeperf/internal/symtab"
 )
 
 // feedAllFromLog replays a fixture's log through an incremental analyzer
@@ -184,6 +187,98 @@ func TestIncrementalTopLimit(t *testing.T) {
 	if got := inc.Snapshot(0); len(got.Funcs) != 4 {
 		t.Errorf("Snapshot(0) returned %d funcs", len(got.Funcs))
 	}
+}
+
+// TestIncrementalSetTableDropsMemo starts the live engine on an empty table,
+// so every address it sees memoizes a hex placeholder, and swaps in the
+// real table with frames still open. Calls after the swap must resolve
+// through the new table, not the stale memo, and the drained snapshot must
+// equal the offline result under the real table.
+func TestIncrementalSetTableDropsMemo(t *testing.T) {
+	f := newFixture(t, 32, "main", "work", "leaf")
+	f.call(t, 1, "main", 0)
+	f.call(t, 1, "work", 10)
+	f.call(t, 1, "leaf", 20)
+	f.ret(t, 1, "leaf", 30)
+	f.call(t, 2, "work", 5)
+	half := f.log.Len()
+	f.call(t, 1, "leaf", 40)
+	f.ret(t, 1, "leaf", 45)
+	f.ret(t, 1, "work", 60)
+	f.ret(t, 1, "main", 100)
+	f.call(t, 2, "leaf", 50)
+	f.ret(t, 2, "leaf", 70)
+	f.ret(t, 2, "work", 80)
+	entries := f.log.Cursor().Next(nil)
+
+	inc := NewIncremental(symtab.New())
+	inc.FeedAll(entries[:half])
+	if open := inc.OpenFrames(); open != 3 {
+		t.Fatalf("OpenFrames = %d before the swap, want 3", open)
+	}
+	for _, lf := range inc.Snapshot(0).Funcs {
+		if !strings.HasPrefix(lf.Name, "0x") {
+			t.Fatalf("%q resolved through an empty table", lf.Name)
+		}
+	}
+	inc.SetTable(f.tab)
+	inc.FeedAll(entries[half:])
+	assertTablesMatch(t, inc.Snapshot(0), f.analyze(t))
+}
+
+// TestIncrementalMemoFollowsLoadBias moves the table's load bias between
+// two batches. The same runtime address names another function under the
+// new bias, and the second batch must resolve exactly as a fresh
+// Incremental would under it.
+func TestIncrementalMemoFollowsLoadBias(t *testing.T) {
+	tab := symtab.New()
+	tab.MustRegister("a", 16, "t.go", 1)
+	b := tab.MustRegister("b", 16, "t.go", 2)
+	c := tab.MustRegister("c", 16, "t.go", 3)
+	pairs := func(tid uint64, at uint64, addrs ...uint64) []shmlog.Entry {
+		var es []shmlog.Entry
+		for _, addr := range addrs {
+			es = append(es,
+				shmlog.Entry{Kind: shmlog.KindCall, Counter: at, Addr: addr, ThreadID: tid},
+				shmlog.Entry{Kind: shmlog.KindReturn, Counter: at + 10, Addr: addr, ThreadID: tid})
+			at += 20
+		}
+		return es
+	}
+	first := pairs(1, 0, b, c)
+	second := pairs(2, 100, b, c, b)
+
+	inc := NewIncremental(tab)
+	inc.FeedAll(first)
+	want := liveTotalsByName(fedFresh(tab, first))
+	tab.SetLoadBias(tab.AnchorAddr() + 16) // b now names a, c names b
+	inc.FeedAll(second)
+	for name, v := range liveTotalsByName(fedFresh(tab, second)) {
+		want[name] = [3]uint64{want[name][0] + v[0], want[name][1] + v[1], want[name][2] + v[2]}
+	}
+	got := liveTotalsByName(inc.Snapshot(0))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("totals after the bias move = %v, want %v", got, want)
+	}
+	if _, ok := got["a"]; !ok {
+		t.Fatalf("no call resolved under the new bias: %v", got)
+	}
+}
+
+func fedFresh(tab *symtab.Table, entries []shmlog.Entry) LiveTable {
+	inc := NewIncremental(tab)
+	inc.FeedAll(entries)
+	return inc.Snapshot(0)
+}
+
+// liveTotalsByName maps each function of a live table to its calls,
+// inclusive and exclusive ticks.
+func liveTotalsByName(t LiveTable) map[string][3]uint64 {
+	m := make(map[string][3]uint64, len(t.Funcs))
+	for _, lf := range t.Funcs {
+		m[lf.Name] = [3]uint64{lf.Calls, lf.Incl, lf.Self}
+	}
+	return m
 }
 
 // assertTablesMatch requires the live table to agree exactly with the

@@ -8,12 +8,12 @@ import (
 // frame is one open call on a reconstructed stack.
 type frame struct {
 	addr       uint64
-	name       string
 	start      uint64
 	childTicks uint64
-	// path is the frame's node in its thread's call-path table; 0 when
-	// the stack keeps no table.
-	path int
+	// id is what the sink's opened returned for the frame: its node in the
+	// thread's call-path table offline, its function index live. The sink
+	// resolves the name through it.
+	id int
 }
 
 // closedFrame is one execution a threadStack completed, in raw ticks.
@@ -27,10 +27,13 @@ type closedFrame struct {
 	truncated bool
 }
 
-// frameSink receives every frame a threadStack closes. under holds the
-// frames beneath it, outermost first, so len(under) is its depth. The
+// frameSink names the frames a threadStack opens and receives every frame
+// it closes. opened returns the id of a frame for addr called beneath the
+// frame whose id is parent (0 for a root). closed gets under, the frames
+// beneath the closed one, outermost first, so len(under) is its depth. The
 // frame travels by value so that it stays off the heap.
 type frameSink interface {
+	opened(parent int, addr uint64) int
 	closed(f closedFrame, under []frame)
 }
 
@@ -43,7 +46,6 @@ type frameSink interface {
 type threadStack struct {
 	id        uint64
 	stack     []frame
-	paths     *pathTable // nil for the live machine
 	lastTS    uint64
 	events    int
 	maxDepth  int
@@ -55,16 +57,12 @@ type threadStack struct {
 // feed folds one entry into the stack and hands each frame it closes to
 // sink. It reports false for a return that matches no open frame; that
 // return is counted in unmatched and otherwise skipped.
-func (ts *threadStack) feed(e shmlog.Entry, tab *symtab.Table, sink frameSink) bool {
+func (ts *threadStack) feed(e shmlog.Entry, sink frameSink) bool {
 	ts.events++
 	ts.lastTS = e.Counter
 	switch e.Kind {
 	case shmlog.KindCall:
-		f := frame{addr: e.Addr, name: tab.Name(e.Addr), start: e.Counter}
-		if ts.paths != nil {
-			f.path = ts.paths.child(ts.topPath(), f.addr, f.name, false)
-		}
-		ts.stack = append(ts.stack, f)
+		ts.stack = append(ts.stack, frame{addr: e.Addr, start: e.Counter, id: sink.opened(ts.topID(), e.Addr)})
 		if d := len(ts.stack); d > ts.maxDepth {
 			ts.maxDepth = d
 		}
@@ -118,19 +116,20 @@ func (ts *threadStack) closeTop(now uint64, truncated bool, sink frameSink) {
 	sink.closed(c, ts.stack)
 }
 
-// topPath is the path node of the top open frame, 0 on an empty stack.
-func (ts *threadStack) topPath() int {
+// topID is the id of the top open frame, 0 on an empty stack.
+func (ts *threadStack) topID() int {
 	if d := len(ts.stack); d > 0 {
-		return ts.stack[d-1].path
+		return ts.stack[d-1].id
 	}
 	return 0
 }
 
 // pathTable interns one thread's call paths so that the offline analyzer
-// builds each folded key once per distinct path instead of once per call.
-// Node 0 is the thread's root; every other node is one (parent, address)
-// edge and carries the raw totals of the executions that closed on exactly
-// that path. Parents precede their children in nodes.
+// resolves each name and builds each folded key once per distinct path
+// instead of once per call. Node 0 is the thread's root and has an empty
+// name; every other node is one (parent, address) edge, carries its
+// resolved name and the raw totals of the executions that closed on
+// exactly that path. Parents precede their children in nodes.
 type pathTable struct {
 	nodes []pathNode
 	edges map[pathEdge]int
@@ -160,10 +159,11 @@ func newPathTable() pathTable {
 	return pathTable{nodes: make([]pathNode, 1, 64), edges: make(map[pathEdge]int)}
 }
 
-// child returns the node for addr (displayed as name) called on the path
-// parent, adding it on first use. Loops and repeated calls mostly hit the
-// parent's last child before the map.
-func (pt *pathTable) child(parent int, addr uint64, name string, synthetic bool) int {
+// child returns the node for addr called on the path parent, adding it on
+// first use. Only a new node resolves its name: through tab, or as
+// TruncatedFrameName when synthetic. Loops and repeated calls mostly hit
+// the parent's last child before the map.
+func (pt *pathTable) child(parent int, addr uint64, synthetic bool, tab *symtab.Table) int {
 	if c := pt.nodes[parent].lastChild; c != 0 {
 		if n := &pt.nodes[c]; n.addr == addr && n.synthetic == synthetic {
 			return c
@@ -172,6 +172,10 @@ func (pt *pathTable) child(parent int, addr uint64, name string, synthetic bool)
 	e := pathEdge{parent: parent, addr: addr, synthetic: synthetic}
 	c, ok := pt.edges[e]
 	if !ok {
+		name := TruncatedFrameName
+		if !synthetic {
+			name = tab.Name(addr)
+		}
 		c = len(pt.nodes)
 		pt.nodes = append(pt.nodes, pathNode{name: name, addr: addr, parent: parent, synthetic: synthetic})
 		pt.edges[e] = c

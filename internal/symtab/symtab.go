@@ -125,10 +125,7 @@ func (t *Table) Lookup(name string) (Symbol, bool) {
 
 // Addr returns the static address of name, or 0 if unregistered.
 func (t *Table) Addr(name string) uint64 {
-	s, ok := t.Lookup(name)
-	if !ok {
-		return 0
-	}
+	s, _ := t.Lookup(name) // a miss returns the zero Symbol
 	return s.Addr
 }
 
@@ -156,28 +153,30 @@ func (t *Table) LoadBias() int64 {
 func (t *Table) Resolve(runtimeAddr uint64) (Symbol, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	if i, ok := t.lookup(runtimeAddr); ok {
+		return t.syms[i], nil
+	}
+	return Symbol{}, fmt.Errorf("%w: %#x", ErrNotFound, runtimeAddr)
+}
+
+// lookup returns the index of the symbol containing runtimeAddr without
+// allocating. The caller holds t.mu.
+func (t *Table) lookup(runtimeAddr uint64) (int, bool) {
 	static := uint64(int64(runtimeAddr) - t.bias)
-	i := sort.Search(len(t.syms), func(i int) bool {
-		return t.syms[i].Addr > static
-	}) - 1
-	if i < 0 {
-		return Symbol{}, fmt.Errorf("%w: %#x", ErrNotFound, runtimeAddr)
-	}
-	s := t.syms[i]
-	if static >= s.Addr+s.Size {
-		return Symbol{}, fmt.Errorf("%w: %#x", ErrNotFound, runtimeAddr)
-	}
-	return s, nil
+	i := sort.Search(len(t.syms), func(i int) bool { return t.syms[i].Addr > static }) - 1
+	return i, i >= 0 && static < t.syms[i].Addr+t.syms[i].Size
 }
 
 // Name resolves a runtime address to a demangled display name, falling back
 // to a hex rendering of the address (like addr2line's "??").
 func (t *Table) Name(runtimeAddr uint64) string {
-	s, err := t.Resolve(runtimeAddr)
-	if err != nil {
-		return fmt.Sprintf("0x%x", runtimeAddr)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if i, ok := t.lookup(runtimeAddr); ok {
+		return Demangle(t.syms[i].Name)
 	}
-	return Demangle(s.Name)
+	var buf [18]byte
+	return string(strconv.AppendUint(append(buf[:0], "0x"...), runtimeAddr, 16))
 }
 
 // Symbols returns a copy of the table contents sorted by address.

@@ -146,6 +146,26 @@ func TestNameFallback(t *testing.T) {
 	}
 }
 
+// TestNameMissPath pins the unresolved-address placeholder to the
+// fmt rendering it replaced and keeps the miss path at one allocation:
+// the returned string.
+func TestNameMissPath(t *testing.T) {
+	tab := New()
+	fn := tab.MustRegister("fn", 16, "f.go", 1)
+	for _, a := range []uint64{0, fn + 0x100000, ^uint64(0)} {
+		if got, want := tab.Name(a), fmt.Sprintf("0x%x", a); got != want {
+			t.Errorf("Name(%#x) = %q, want %q", a, got, want)
+		}
+	}
+	miss := fn + 0x100000
+	if n := testing.AllocsPerRun(100, func() { _ = tab.Name(miss) }); n > 1 {
+		t.Errorf("Name on a miss allocates %v times, want <= 1", n)
+	}
+	if _, err := tab.Resolve(miss); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Resolve(miss) error = %v, want ErrNotFound", err)
+	}
+}
+
 func TestAddrUnknown(t *testing.T) {
 	tab := New()
 	if got := tab.Addr("missing"); got != 0 {

@@ -27,6 +27,7 @@ AGENT_BENCHES=(
     BenchmarkAnalyzer
     BenchmarkAnalyzerParallel
     BenchmarkAgentScrape
+    BenchmarkAgentScrapeSymbols
 )
 
 # STORE_BENCHES cover the profile history store (recorded to

@@ -19,8 +19,11 @@
 #
 # A metric is marked "gain" when the working tree won at least nine tenths
 # of the pairs (ties count for neither side) and its median beats the
-# base's by more than the base's interquartile range; "worse" when its
-# median is worse than the base's by more than the metric's bound.
+# base's by more than the base's interquartile range and by more than the
+# metric's bound; "worse" when its median is worse than the base's by more
+# than the metric's bound. The bound is a fraction of the base median, so a
+# metric whose runs barely spread (report_alloc_mb) does not read as a gain
+# on a few hundred bytes.
 set -euo pipefail
 
 pairs=10 workloads="" seed=1 seconds="" base=HEAD
@@ -104,7 +107,7 @@ for w in workloads:
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
         delta = (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0
         worse = delta if lower else -delta
-        gain = wins >= 0.9 * n and abs(cq[1] - bq[1]) > bq[2] - bq[0] and worse < 0
+        gain = wins >= 0.9 * n and abs(cq[1] - bq[1]) > bq[2] - bq[0] and -worse > m["bound"]
         verdict = "gain" if gain else "worse" if worse > m["bound"] else ""
         fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}-{q[2]:.4g}]"
         print(f"  {name:24} {fmt(bq):>30} {fmt(cq):>30} {delta:+8.1%} {wins:>3}/{n} {verdict}")
