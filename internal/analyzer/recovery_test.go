@@ -10,7 +10,6 @@ import (
 // recoveryReport builds a minimal non-clean salvage report.
 func recoveryReport() *shmlog.RecoveryReport {
 	rep := &shmlog.RecoveryReport{
-		SourceVersion:   shmlog.Version,
 		EntriesPresent:  4,
 		EntriesSalvaged: 3,
 		EntriesDropped:  1,

@@ -22,6 +22,7 @@ import (
 	"teeperf/internal/analyzer"
 	"teeperf/internal/recorder"
 	"teeperf/internal/shmlog"
+	"teeperf/internal/symtab"
 )
 
 // Sample is one point of the run's trajectory: cumulative totals plus the
@@ -155,6 +156,7 @@ type Monitor struct {
 
 	mu       sync.Mutex
 	inc      *analyzer.Incremental
+	tab      *symtab.Table // the recorder table inc resolves through
 	cur      *shmlog.Cursor
 	seen     map[*shmlog.Log]bool
 	retired  []retiredCursor
@@ -183,12 +185,8 @@ func New(rec *recorder.Recorder, opts ...Option) *Monitor {
 	for _, opt := range opts {
 		opt.apply(m)
 	}
-	// Resolve through the same relocation anchor the offline analyzer
-	// uses, so live names match post-run names.
-	if addr := rec.Log().ProfilerAddr(); addr != 0 {
-		rec.Table().SetLoadBias(addr)
-	}
-	m.inc = analyzer.NewIncremental(rec.Table())
+	m.tab = m.biased(rec.Table())
+	m.inc = analyzer.NewIncremental(m.tab)
 	m.seen = make(map[*shmlog.Log]bool)
 	m.cur = m.adopt(rec.Log())
 	// Rotated-out segments are handed to the monitor by the recorder, so
@@ -199,6 +197,15 @@ func New(rec *recorder.Recorder, opts ...Option) *Monitor {
 		m.pendMu.Unlock()
 	})
 	return m
+}
+
+// biased returns tab with the log's relocation anchor applied — the same
+// anchor the offline analyzer uses, so live names match post-run names.
+func (m *Monitor) biased(tab *symtab.Table) *symtab.Table {
+	if addr := m.rec.Log().ProfilerAddr(); addr != 0 {
+		tab.SetLoadBias(addr)
+	}
+	return tab
 }
 
 // adopt starts a cursor on log and remembers the segment so a late rotation
@@ -278,6 +285,13 @@ func (m *Monitor) pollLocked(now time.Time, record bool) Sample {
 	pending := m.pending
 	m.pending = nil
 	m.pendMu.Unlock()
+	// A hosting recorder swaps the application's table in once its side
+	// file appears (Recorder.SetTable); follow it so the live table names
+	// functions instead of serving address placeholders.
+	if tab := m.rec.Table(); tab != m.tab {
+		m.tab = m.biased(tab)
+		m.inc.SetTable(m.tab)
+	}
 	for _, old := range pending {
 		switch {
 		case m.cur != nil && old == m.cur.Log():

@@ -428,3 +428,40 @@ func TestSessionLabelAndCheckpointMetrics(t *testing.T) {
 		t.Errorf("/vars checkpoint age = %f, want >= 0 after a pass", age)
 	}
 }
+
+// TestMonitorFollowsSetTable: a hosting recorder starts on an empty table
+// and swaps the application's table in once its side file appears; the
+// live table must then name the application's functions.
+func TestMonitorFollowsSetTable(t *testing.T) {
+	tick := counter.NewVirtual(1)
+	rec, err := recorder.New(symtab.New(),
+		recorder.WithCapacity(1<<8),
+		recorder.WithCounterSource(tick),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Start(); err != nil {
+		t.Fatal(err)
+	}
+	mon := New(rec)
+
+	app := symtab.New()
+	fn, err := app.Register("appfn", 16, "app.go", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.SetTable(app)
+	th := rec.Thread()
+	th.Enter(fn)
+	tick.Advance(5)
+	th.Exit(fn)
+	if err := rec.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	live := mon.Table(0)
+	if len(live.Funcs) != 1 || live.Funcs[0].Name != "appfn" {
+		t.Fatalf("live funcs = %+v, want one named appfn", live.Funcs)
+	}
+}

@@ -63,7 +63,7 @@ func Attach(path string, opts ...Option) (*Recorder, error) {
 }
 
 func hostConfig(opts []Option) config {
-	cfg := config{capacity: 1 << 20, sync: shmlog.SyncAtomic}
+	cfg := config{capacity: 1 << 20}
 	for _, opt := range opts {
 		opt.apply(&cfg)
 	}

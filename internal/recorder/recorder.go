@@ -99,7 +99,6 @@ type config struct {
 	source       counter.Source
 	filter       *probe.Filter
 	bias         int64
-	sync         shmlog.Sync
 	batch        int
 	samplePeriod uint64
 	inject       *faultinject.Injector
@@ -161,11 +160,6 @@ func WithLoadBias(delta int64) Option {
 	return optionFunc(func(c *config) { c.bias = delta })
 }
 
-// WithSync selects the log synchronization mode (ablation A1).
-func WithSync(s shmlog.Sync) Option {
-	return optionFunc(func(c *config) { c.sync = s })
-}
-
 // WithBatch makes each probe thread reserve blocks of k log slots per tail
 // fetch-and-add instead of one (default 1; see probe.WithBatch). Unused
 // trailing slots of a block are released at rotation and at Stop.
@@ -191,8 +185,7 @@ func WithFaultInjector(in *faultinject.Injector) Option {
 // (created by a hosting recorder process, see Create) instead of
 // allocating a heap log. The default counter source becomes a passive
 // reader of the shared counter word — the hosting process runs the
-// increment loop. WithCapacity and WithSync are ignored: the mapping's
-// creator fixed both.
+// increment loop. WithCapacity is ignored: the mapping's creator fixed it.
 func WithShared(path string) Option {
 	return optionFunc(func(c *config) { c.shared = path })
 }
@@ -218,10 +211,7 @@ func New(tab *symtab.Table, opts ...Option) (*Recorder, error) {
 	if tab == nil {
 		return nil, errors.New("recorder: nil symbol table")
 	}
-	cfg := config{
-		capacity: 1 << 20,
-		sync:     shmlog.SyncAtomic,
-	}
+	cfg := config{capacity: 1 << 20}
 	for _, opt := range opts {
 		opt.apply(&cfg)
 	}
@@ -250,7 +240,6 @@ func New(tab *symtab.Table, opts ...Option) (*Recorder, error) {
 		l, err := shmlog.New(cfg.capacity,
 			shmlog.WithPID(cfg.pid),
 			shmlog.WithProfilerAddr(anchorRuntime),
-			shmlog.WithSync(cfg.sync),
 			shmlog.WithShards(cfg.logShards()),
 			shmlog.WithSamplePeriod(cfg.samplePeriod),
 			shmlog.WithFlags(shmlog.EventCall|shmlog.EventReturn), // inactive until Start

@@ -13,7 +13,6 @@ import (
 
 	"teeperf/internal/counter"
 	"teeperf/internal/probe"
-	"teeperf/internal/shmlog"
 	"teeperf/internal/symtab"
 )
 
@@ -262,22 +261,6 @@ func TestSelectiveFilterOption(t *testing.T) {
 	}
 	if got := r.Log().Len(); got != 1 {
 		t.Errorf("selective run recorded %d entries, want 1", got)
-	}
-}
-
-func TestMutexSyncOption(t *testing.T) {
-	r, _ := newTestRecorder(t, WithSync(shmlog.SyncMutex))
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
-	th := r.Thread()
-	th.Enter(1)
-	th.Exit(1)
-	if err := r.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Log().Len(); got != 2 {
-		t.Errorf("mutex-mode log has %d entries, want 2", got)
 	}
 }
 

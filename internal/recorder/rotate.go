@@ -46,7 +46,6 @@ func (r *Recorder) Rotate() (*shmlog.Log, error) {
 	next, err := shmlog.New(r.cfg.capacity,
 		shmlog.WithPID(r.cfg.pid),
 		shmlog.WithProfilerAddr(anchorRuntime),
-		shmlog.WithSync(r.cfg.sync),
 		shmlog.WithShards(r.cfg.logShards()),
 		shmlog.WithFlags(flags),
 	)

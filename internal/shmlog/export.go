@@ -55,5 +55,5 @@ func FromEntries(entries []Entry, pid, profilerAddr, samplePeriod uint64) *Log {
 			maxCounter = e.Counter
 		}
 	}
-	return buildDecoded(slots, false, Version, pid, profilerAddr, flags, maxCounter, samplePeriod)
+	return buildDecoded(slots, false, pid, profilerAddr, flags, maxCounter, samplePeriod)
 }

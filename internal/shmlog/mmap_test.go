@@ -273,9 +273,6 @@ func TestMmapCreateRejections(t *testing.T) {
 	if _, err := CreateFile(mmapPath(t), 4, WithSync(SyncMutex)); !errors.Is(err, ErrMapped) {
 		t.Fatalf("SyncMutex: err = %v, want ErrMapped", err)
 	}
-	if _, err := CreateFile(mmapPath(t), 4, WithVersion(VersionV1)); !errors.Is(err, ErrMapped) {
-		t.Fatalf("WithVersion(1): err = %v, want ErrMapped", err)
-	}
 	if _, err := CreateFile(mmapPath(t), 0); err == nil {
 		t.Fatal("zero capacity accepted")
 	}

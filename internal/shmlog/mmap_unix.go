@@ -23,26 +23,21 @@ const MmapSupported = true
 // instrumented application.
 //
 // SyncMutex is rejected: a Go mutex cannot synchronise writers in two
-// different processes. WithVersion is likewise rejected — a shared file is
-// always the current layout.
+// different processes.
 func CreateFile(path string, capacity int, opts ...Option) (*Log, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("shmlog: capacity must be positive, got %d", capacity)
 	}
 	o := options{
-		version: Version,
-		sync:    SyncAtomic,
-		flags:   FlagActive | EventCall | EventReturn,
-		shards:  1,
+		sync:   SyncAtomic,
+		flags:  FlagActive | EventCall | EventReturn,
+		shards: 1,
 	}
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
 	if o.sync != SyncAtomic {
 		return nil, fmt.Errorf("%w: file-backed logs require SyncAtomic (a mutex cannot cross processes)", ErrMapped)
-	}
-	if o.version != Version {
-		return nil, fmt.Errorf("%w: file-backed logs are always version %d", ErrMapped, Version)
 	}
 	if o.shards < 1 || o.shards > MaxShards {
 		return nil, fmt.Errorf("%w: %d (want 1..%d)", ErrBadShards, o.shards, MaxShards)
@@ -60,7 +55,7 @@ func CreateFile(path string, capacity int, opts ...Option) (*Log, error) {
 		os.Remove(path)
 		return nil, fmt.Errorf("shmlog: size mapping file: %w", err)
 	}
-	l, err := mapFile(f, path, size)
+	l, err := mapFile(f, path, size, syscall.PROT_READ|syscall.PROT_WRITE)
 	if err != nil {
 		f.Close()
 		os.Remove(path)
@@ -87,8 +82,7 @@ func CreateFile(path string, capacity int, opts ...Option) (*Log, error) {
 }
 
 // validateMapped checks a freshly mapped log's header against the file size
-// and derives the cached shard layout (l.shards, l.segCap). Shared with
-// OpenFile and ObserveFile.
+// and derives the cached shard layout (l.shards, l.segCap).
 func validateMapped(l *Log, path string, size int64) error {
 	if got := atomic.LoadUint64(&l.words[wordMagic]); got != Magic {
 		return fmt.Errorf("%w: mapping file %q", ErrBadMagic, path)
@@ -134,7 +128,43 @@ func validateMapped(l *Log, path string, size int64) error {
 // attach. The instrumented application calls this with the path handed
 // over in TEEPERF_SHM.
 func OpenFile(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	l, err := openMapped(path, os.O_RDWR, syscall.PROT_READ|syscall.PROT_WRITE)
+	if err != nil {
+		return nil, err
+	}
+	atomic.AddUint64(&l.words[wordAttachGen], 1)
+	return l, nil
+}
+
+// ObserveFile maps an existing file-backed log MAP_SHARED but read-only:
+// PROT_READ, no attach-generation bump, no header writes. It is the
+// multi-attach path for passive observers (the fleet agent): any number of
+// observer mappings can coexist with the hosting recorder and the
+// instrumented application without either noticing, because an observer
+// never stores to the shared region — cursors, header accessors and stats
+// are all atomic loads. Mutating a log returned by ObserveFile (SetPID,
+// Append, ...) faults; ReadOnly reports the restriction.
+func ObserveFile(path string) (*Log, error) {
+	return openMapped(path, os.O_RDONLY, syscall.PROT_READ)
+}
+
+// ControlFile maps an existing file-backed log MAP_SHARED read-write for a
+// controller: unlike OpenFile it does NOT bump the attach generation (the
+// creator must not mistake a throttling agent for the instrumented
+// application attaching), and unlike ObserveFile the mapping is writable so
+// the caller can drive the adaptive-probe control words (SetSamplePeriod,
+// SetThreadMask, SetAddrMask) live. Controllers must restrict their stores
+// to the control words; everything else belongs to the recorder and the
+// application.
+func ControlFile(path string) (*Log, error) {
+	return openMapped(path, os.O_RDWR, syscall.PROT_READ|syscall.PROT_WRITE)
+}
+
+// openMapped opens an existing file-backed log with flag, maps the whole
+// file MAP_SHARED with protection prot and validates the header. A mapping
+// without PROT_WRITE is marked read-only.
+func openMapped(path string, flag, prot int) (*Log, error) {
+	f, err := os.OpenFile(path, flag, 0)
 	if err != nil {
 		return nil, fmt.Errorf("shmlog: open mapping file: %w", err)
 	}
@@ -152,52 +182,12 @@ func OpenFile(path string) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("shmlog: mapping file %q too large (%d bytes)", path, size)
 	}
-	l, err := mapFile(f, path, int(size))
+	l, err := mapFile(f, path, int(size), prot)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if err := validateMapped(l, path, size); err != nil {
-		l.Close()
-		return nil, err
-	}
-	atomic.AddUint64(&l.words[wordAttachGen], 1)
-	return l, nil
-}
-
-// ObserveFile maps an existing file-backed log MAP_SHARED but read-only:
-// PROT_READ, no attach-generation bump, no header writes. It is the
-// multi-attach path for passive observers (the fleet agent): any number of
-// observer mappings can coexist with the hosting recorder and the
-// instrumented application without either noticing, because an observer
-// never stores to the shared region — cursors, header accessors and stats
-// are all atomic loads. Mutating a log returned by ObserveFile (SetPID,
-// Append, ...) faults; ReadOnly reports the restriction.
-func ObserveFile(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return nil, fmt.Errorf("shmlog: open mapping file: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("shmlog: stat mapping file: %w", err)
-	}
-	size := st.Size()
-	if size < HeaderSize {
-		f.Close()
-		return nil, fmt.Errorf("%w: mapping file %q is %d bytes, below the %d-byte header", ErrTruncatedHeader, path, size, HeaderSize)
-	}
-	if size > int64(int(^uint(0)>>1)) {
-		f.Close()
-		return nil, fmt.Errorf("shmlog: mapping file %q too large (%d bytes)", path, size)
-	}
-	l, err := mapFileProt(f, path, int(size), syscall.PROT_READ)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	l.readOnly = true
+	l.readOnly = prot&syscall.PROT_WRITE == 0
 	if err := validateMapped(l, path, size); err != nil {
 		l.Close()
 		return nil, err
@@ -205,66 +195,22 @@ func ObserveFile(path string) (*Log, error) {
 	return l, nil
 }
 
-// ControlFile maps an existing file-backed log MAP_SHARED read-write for a
-// controller: unlike OpenFile it does NOT bump the attach generation (the
-// creator must not mistake a throttling agent for the instrumented
-// application attaching), and unlike ObserveFile the mapping is writable so
-// the caller can drive the adaptive-probe control words (SetSamplePeriod,
-// SetThreadMask, SetAddrMask) live. Controllers must restrict their stores
-// to the control words; everything else belongs to the recorder and the
-// application.
-func ControlFile(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, fmt.Errorf("shmlog: open mapping file: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("shmlog: stat mapping file: %w", err)
-	}
-	size := st.Size()
-	if size < HeaderSize {
-		f.Close()
-		return nil, fmt.Errorf("%w: mapping file %q is %d bytes, below the %d-byte header", ErrTruncatedHeader, path, size, HeaderSize)
-	}
-	if size > int64(int(^uint(0)>>1)) {
-		f.Close()
-		return nil, fmt.Errorf("shmlog: mapping file %q too large (%d bytes)", path, size)
-	}
-	l, err := mapFile(f, path, int(size))
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := validateMapped(l, path, size); err != nil {
-		l.Close()
-		return nil, err
-	}
-	return l, nil
-}
-
-// mapFile maps size bytes of f MAP_SHARED read-write and lays the word
-// array over the mapping. size must be a multiple of 8 and at least
+// mapFile maps size bytes of f MAP_SHARED with protection prot and lays the
+// word array over the mapping. size must be a multiple of 8 and at least
 // HeaderSize.
-func mapFile(f *os.File, path string, size int) (*Log, error) {
-	return mapFileProt(f, path, size, syscall.PROT_READ|syscall.PROT_WRITE)
-}
-
-func mapFileProt(f *os.File, path string, size, prot int) (*Log, error) {
+func mapFile(f *os.File, path string, size, prot int) (*Log, error) {
 	data, err := syscall.Mmap(int(f.Fd()), 0, size, prot, syscall.MAP_SHARED)
 	if err != nil {
 		return nil, fmt.Errorf("shmlog: mmap %q: %w", path, err)
 	}
 	words := unsafe.Slice((*uint64)(unsafe.Pointer(&data[0])), size/8)
 	return &Log{
-		words:      words,
-		sync:       SyncAtomic,
-		shards:     1,
-		srcVersion: Version,
-		mapped:     data,
-		file:       f,
-		path:       path,
+		words:  words,
+		sync:   SyncAtomic,
+		shards: 1,
+		mapped: data,
+		file:   f,
+		path:   path,
 	}, nil
 }
 

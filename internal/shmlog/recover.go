@@ -23,8 +23,8 @@ const (
 	// CorruptTruncatedHeader: the header (or a segment header) ended early;
 	// missing words were taken as zero.
 	CorruptTruncatedHeader Corruption = "truncated-header"
-	// CorruptBadVersion: the version word matched no known format; the
-	// layout was inferred from the magic position and the shards word.
+	// CorruptBadVersion: the version word was not Version; the body was
+	// still salvaged as the sharded layout.
 	CorruptBadVersion Corruption = "bad-version"
 	// CorruptBadShards: a sharded header carried an implausible shard
 	// count; it was clamped.
@@ -53,10 +53,6 @@ const maxPlausibleTID = uint64(1) << 32
 // stream and what it had to drop, instead of an error: the recovery
 // analogue of the paper's analyzer dismissing possibly-wrong records.
 type RecoveryReport struct {
-	// SourceVersion is the format version the stream was decoded as
-	// (Version, VersionV2, VersionV1, or 0 when no header was
-	// recognizable).
-	SourceVersion uint64
 	// BytesRead is the total input length.
 	BytesRead int64
 	// BytesSalvaged counts the header and entry bytes that contributed to
@@ -127,13 +123,10 @@ func (r *RecoveryReport) String() string {
 	return b.String()
 }
 
-// knownFlags is every flag bit a valid header may carry regardless of
-// format version; lenient decoding masks everything else off (bit-flip
-// damage in the flags word). FlagRecorderReady appears in raw mmap files
-// salvaged after a crash. FlagSampled is NOT here: sampling arrived with
-// the version-3 control words, so it is admitted per-version (v3 only —
-// on v1/v2 headers it can only be damage).
-const knownFlags = FlagActive | FlagMultithread | EventCall | EventReturn | FlagRecorderReady
+// knownFlags is every flag bit a valid header may carry; lenient decoding
+// masks everything else off (bit-flip damage in the flags word).
+// FlagRecorderReady appears in raw mmap files salvaged after a crash.
+const knownFlags = FlagActive | FlagMultithread | EventCall | EventReturn | FlagRecorderReady | FlagSampled
 
 // lenientSalvage accumulates admitted entries and damage notes while a
 // lenient decode walks one or more entry regions.
@@ -148,13 +141,13 @@ type lenientSalvage struct {
 	segHeaderBytes int64
 }
 
-// admitRegion scans one contiguous entry region (the flat v1/v2 body, or
-// one v3 segment) and admits committed entries, classifying everything
-// else. tail is the region's claimed reserved length, capacity its claimed
-// slot count; body holds the region's raw bytes (possibly truncated).
-// Regions persisted at full capacity (raw mmap files and v3 segments)
-// carry all-zero slots above the tail — never-reserved padding rather than
-// died-in-flight writers — which the trim below removes.
+// admitRegion scans one segment's entry region and admits committed
+// entries, classifying everything else. tail is the region's claimed
+// reserved length, capacity its claimed slot count; body holds the
+// region's raw bytes (possibly truncated). Regions persisted at full
+// capacity (raw mmap files) carry all-zero slots above the tail —
+// never-reserved padding rather than died-in-flight writers — which the
+// trim below removes.
 func (ls *lenientSalvage) admitRegion(body []byte, tail, capacity uint64) {
 	rep := ls.rep
 	if len(body)%EntrySize != 0 {
@@ -224,9 +217,9 @@ func (ls *lenientSalvage) admitRegion(body []byte, tail, capacity uint64) {
 // capacity) is clamped to the last fully committed entry, a torn trailing
 // entry is dropped, and entries whose commit-marker word is zero
 // (in-flight), TombstoneTID (released) or implausible (bit-flipped) are
-// skipped. Sharded (version-3) streams are walked segment by segment with
-// the same per-region salvage rules, then merged by the global counter
-// value exactly as the strict Read merges them. Damage is returned as a
+// skipped. The body is walked segment by segment with the same per-region
+// salvage rules, then merged by the global counter value exactly as the
+// strict Read merges them. Damage is returned as a
 // structured RecoveryReport rather than an error; the only errors are real
 // I/O failures from r.
 //
@@ -237,9 +230,9 @@ func (ls *lenientSalvage) admitRegion(body []byte, tail, capacity uint64) {
 // Read's and the report is Clean.
 //
 // The magic word is the one thing ReadLenient cannot do without: with
-// fewer than 8 input bytes, or a damaged magic in both the version-1 and
-// version-2/3 positions, nothing distinguishes a torn log from arbitrary
-// bytes, and the salvaged log is empty (class bad-magic).
+// fewer than 8 input bytes, or a damaged magic word, nothing distinguishes
+// a torn log from arbitrary bytes, and the salvaged log is empty (class
+// bad-magic).
 func ReadLenient(r io.Reader) (*Log, *RecoveryReport, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -254,116 +247,40 @@ func ReadLenient(r io.Reader) (*Log, *RecoveryReport, error) {
 		return binary.LittleEndian.Uint64(data[i*8:])
 	}
 
-	// Locate the magic. v1 stores it in word 7, v2/v3 in word 0; neither
-	// position can fake the other (v1 word 0 holds small flag bits, v2
-	// word 7 is reserved padding, v3 word 7 is a small shard count).
-	var headerLen int
-	var flags, pid, profilerAddr, counterVal, capacity, tail uint64
-	v1 := false
 	switch {
 	case len(data) == 0:
 		rep.note(CorruptEmptyInput)
 		return emptyRecovered(rep, 0, 0)
-	case len(data) >= HeaderSizeV1 && word(v1WordMagic) == Magic:
-		v1 = true
-		rep.SourceVersion = VersionV1
-		headerLen = HeaderSizeV1
-		if word(v1WordVersion) != VersionV1 {
-			rep.note(CorruptBadVersion)
-		}
-		flags = word(v1WordFlags)
-		pid = word(v1WordPID)
-		capacity = word(v1WordCapacity)
-		tail = word(v1WordTail)
-		profilerAddr = word(v1WordProfilerAddr)
-		counterVal = word(v1WordCounter)
-	case word(wordMagic) == Magic:
-		headerLen = HeaderSize
-		if len(data) < HeaderSize {
-			rep.note(CorruptTruncatedHeader)
-			headerLen = len(data)
-		}
-		pid = word(wordPID)
-		capacity = word(wordCapacity)
-		profilerAddr = word(wordProfilerAddr)
-		flags = word(wordFlags)
-		tail = word(wordTail)
-		counterVal = word(wordCounter)
-	default:
+	case word(wordMagic) != Magic:
 		rep.note(CorruptBadMagic)
-		if len(data) < HeaderSizeV1 {
+		if len(data) < HeaderSize {
 			rep.note(CorruptTruncatedHeader)
 		}
 		return emptyRecovered(rep, 0, 0)
 	}
-
-	// Flag admission is version-dependent: FlagSampled (and the sampling
-	// period it describes) exists only in version-3 headers. On v3 both are
-	// admitted — a salvaged sampled log must keep its period or the analyzer
-	// under-weighs every entry — while on v1/v2 a set FlagSampled bit or a
-	// nonzero byte in the reserved control-word region is bit-flip damage.
-	isV3 := !v1 && word(wordVersion) == Version
-	known := uint64(knownFlags)
-	var samplePeriod uint64
-	if isV3 {
-		known |= FlagSampled
-		samplePeriod = word(wordSamplePeriod)
-	} else if !v1 && len(data) >= HeaderSize {
-		// v2 reserves words 9-13 (the v3 control words) as zero padding.
-		for w := wordSamplePeriod; w <= wordAddrMaskHi; w++ {
-			if word(w) != 0 {
-				rep.note(CorruptUnknownFlags)
-				break
-			}
-		}
+	headerLen := HeaderSize
+	if len(data) < HeaderSize {
+		rep.note(CorruptTruncatedHeader)
+		headerLen = len(data)
 	}
-	if flags&^known != 0 {
+	pid := word(wordPID)
+	profilerAddr := word(wordProfilerAddr)
+	flags := word(wordFlags)
+	if flags&^knownFlags != 0 {
 		rep.note(CorruptUnknownFlags)
-		flags &= known
+		flags &= knownFlags
+	}
+	if len(data) >= (wordVersion+1)*8 && word(wordVersion) != Version {
+		rep.note(CorruptBadVersion)
 	}
 
-	body := data[min(headerLen, len(data)):]
 	ls := &lenientSalvage{rep: rep}
-	switch v := word(wordVersion); {
-	case v1:
-		// Flat v1 entry region: everything after the packed header.
-		ls.admitRegion(body, tail, capacity)
-	case v == Version:
-		rep.SourceVersion = Version
-		salvageSharded(ls, body, capacity, word(wordShards))
-	case v == VersionV2:
-		rep.SourceVersion = VersionV2
-		ls.admitRegion(body, tail, capacity)
-	default:
-		if len(data) >= (wordVersion+1)*8 {
-			rep.note(CorruptBadVersion)
-		}
-		// The version word is unreadable, so the body's layout — sharded
-		// segment headers vs a flat entry region — is unknown. Parse it
-		// both ways into scratch reports and keep whichever salvages more
-		// entries; ties go to the layout the shards word suggests (a v2
-		// header reserves word 7 as zero, a v3 header sets a small
-		// positive count).
-		a := &lenientSalvage{rep: &RecoveryReport{}}
-		salvageSharded(a, body, capacity, word(wordShards))
-		b := &lenientSalvage{rep: &RecoveryReport{}}
-		b.admitRegion(body, tail, capacity)
-		shardsPlausible := word(wordShards) >= 1 && word(wordShards) <= MaxShards
-		if len(b.entries) > len(a.entries) || (len(b.entries) == len(a.entries) && !shardsPlausible) {
-			ls = b
-			rep.SourceVersion = VersionV2
-		} else {
-			ls = a
-			rep.SourceVersion = Version
-		}
-		mergeReport(rep, ls.rep)
-		ls.rep = rep
-	}
+	salvageSharded(ls, data[headerLen:], word(wordCapacity), word(wordShards))
 
 	entries := ls.entries
 	rep.EntriesSalvaged = len(entries)
 	rep.EntriesDropped = rep.DroppedInFlight + rep.DroppedTombstone + rep.DroppedGarbage
-	rep.BytesSalvaged = int64(min(headerLen, len(data))) + ls.segHeaderBytes + int64(len(entries))*EntrySize
+	rep.BytesSalvaged = int64(headerLen) + ls.segHeaderBytes + int64(len(entries))*EntrySize
 
 	if len(entries) == 0 {
 		return emptyRecovered(rep, pid, profilerAddr)
@@ -372,13 +289,12 @@ func ReadLenient(r io.Reader) (*Log, *RecoveryReport, error) {
 	out, err := New(len(entries),
 		WithPID(pid),
 		WithProfilerAddr(profilerAddr),
-		WithFlags(flags&^FlagActive),   // recovered logs are read-only
-		WithSamplePeriod(samplePeriod), // 0 on v1/v2 (they predate sampling)
+		WithFlags(flags&^FlagActive), // recovered logs are read-only
+		WithSamplePeriod(word(wordSamplePeriod)),
 	)
 	if err != nil {
 		return nil, nil, err
 	}
-	out.srcVersion = rep.SourceVersion
 	commit := func(e *Entry) {
 		if slot, n := out.Reserve(1); n != 0 {
 			out.Commit(slot, *e)
@@ -391,11 +307,11 @@ func ReadLenient(r io.Reader) (*Log, *RecoveryReport, error) {
 			commit(&entries[i])
 		}
 	}
-	out.AddCounter(counterVal)
+	out.AddCounter(word(wordCounter))
 	return out, rep, nil
 }
 
-// salvageSharded salvages a v3 body: a self-synchronizing segment walk
+// salvageSharded salvages a log body: a self-synchronizing segment walk
 // (the shards word may itself be damaged, so the walk trusts the segment
 // headers tiling the body instead) followed by the counter merge. The
 // shards word is only cross-checked against the walked count.
@@ -414,7 +330,7 @@ func salvageSharded(ls *lenientSalvage, body []byte, capacity, shardsWord uint64
 	ls.merge = segs > 1
 }
 
-// walkSegments walks a v3 body — per-segment headers followed by that
+// walkSegments walks a log body — per-segment headers followed by that
 // segment's entry slots — salvaging each segment with the shared
 // per-region rules, until the body is exhausted. A truncated stream simply
 // runs out of segments; a segment header cut short is zero-filled like the
@@ -460,19 +376,6 @@ func walkSegments(ls *lenientSalvage, body []byte) int {
 	return segs
 }
 
-// mergeReport folds the counters and damage classes of a scratch report
-// (from the dual-layout parse of a damaged version word) into the main one.
-func mergeReport(dst, src *RecoveryReport) {
-	dst.EntriesPresent += src.EntriesPresent
-	dst.DroppedInFlight += src.DroppedInFlight
-	dst.DroppedTombstone += src.DroppedTombstone
-	dst.DroppedGarbage += src.DroppedGarbage
-	dst.TailClamped = dst.TailClamped || src.TailClamped
-	for _, c := range src.Corruption {
-		dst.note(c)
-	}
-}
-
 func entryCounter(e *Entry) uint64 { return e.Counter }
 
 // emptyRecovered builds the zero-entry recovered log ReadLenient returns
@@ -487,6 +390,5 @@ func emptyRecovered(rep *RecoveryReport, pid, profilerAddr uint64) (*Log, *Recov
 	if err != nil {
 		return nil, nil, err
 	}
-	out.srcVersion = rep.SourceVersion
 	return out, rep, nil
 }

@@ -2,7 +2,6 @@ package shmlog
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 )
 
@@ -77,55 +76,5 @@ func TestReadLenientTornSampledLog(t *testing.T) {
 	}
 	if p := again.SamplePeriod(); p != period {
 		t.Fatalf("re-encoded sample period = %d, want %d", p, period)
-	}
-}
-
-// TestReadLenientV2NonzeroControlWords: version-2 headers reserve the words
-// v3 turned into sampling/mask controls as zero padding. A v2 stream with
-// garbage there is damaged — the entries still salvage, but the report says
-// unknown-flag-bits and no phantom sampling period leaks into the rebuild.
-func TestReadLenientV2NonzeroControlWords(t *testing.T) {
-	entries := []Entry{
-		{Kind: KindCall, Counter: 100, Addr: 0x400010, ThreadID: 1},
-		{Kind: KindReturn, Counter: 200, Addr: 0x400010, ThreadID: 1},
-	}
-	raw := encodeV2(EventCall|EventReturn, 42, 0x400000, 999, entries)
-	binary.LittleEndian.PutUint64(raw[wordSamplePeriod*8:], 5)
-
-	log, rep := readLenient(t, raw)
-	if !hasClass(rep, CorruptUnknownFlags) {
-		t.Fatalf("nonzero v2 control word not reported: %v", rep.Corruption)
-	}
-	if rep.EntriesSalvaged != len(entries) {
-		t.Fatalf("salvaged %d entries, want %d", rep.EntriesSalvaged, len(entries))
-	}
-	if !sameEntries(log.Entries(), entries) {
-		t.Fatalf("salvaged entries = %+v, want %+v", log.Entries(), entries)
-	}
-	if p := log.SamplePeriod(); p != 0 {
-		t.Fatalf("phantom sample period %d leaked from a v2 header", p)
-	}
-	if log.Flags()&FlagSampled != 0 {
-		t.Fatal("FlagSampled invented for a v2 stream")
-	}
-}
-
-// TestReadLenientV2SampledFlagRejected: FlagSampled's bit is not part of
-// the v2 vocabulary — a v2 header carrying it is damaged and the bit must
-// be stripped, not adopted.
-func TestReadLenientV2SampledFlagRejected(t *testing.T) {
-	entries := []Entry{
-		{Kind: KindCall, Counter: 100, Addr: 0x400010, ThreadID: 1},
-	}
-	raw := encodeV2(EventCall|FlagSampled, 42, 0x400000, 999, entries)
-	log, rep := readLenient(t, raw)
-	if !hasClass(rep, CorruptUnknownFlags) {
-		t.Fatalf("v2 FlagSampled not reported as unknown: %v", rep.Corruption)
-	}
-	if log.Flags()&FlagSampled != 0 {
-		t.Fatal("v2 FlagSampled survived the salvage")
-	}
-	if rep.EntriesSalvaged != len(entries) {
-		t.Fatalf("salvaged %d entries, want %d", rep.EntriesSalvaged, len(entries))
 	}
 }

@@ -159,35 +159,6 @@ func TestReadLenientTruncationMatrix(t *testing.T) {
 	}
 }
 
-// TestReadLenientV1TornMidEntry: the legacy format salvages the committed
-// prefix of a stream torn mid-entry.
-func TestReadLenientV1TornMidEntry(t *testing.T) {
-	entries := []Entry{
-		{Kind: KindCall, Counter: 1, Addr: 0xA, ThreadID: 1},
-		{Kind: KindReturn, Counter: 5, Addr: 0xA, ThreadID: 1},
-		{Kind: KindCall, Counter: 9, Addr: 0xB, ThreadID: 2},
-	}
-	raw := encodeV1(EventCall|EventReturn, 7, 0x1000, 55, entries)
-	torn := faultinject.Truncate(raw, -13) // tear the last entry mid-word
-
-	log, rep := readLenient(t, torn)
-	if rep.SourceVersion != VersionV1 {
-		t.Fatalf("SourceVersion = %d, want v1", rep.SourceVersion)
-	}
-	if rep.EntriesSalvaged != 2 || !hasClass(rep, CorruptTornEntry) || !rep.TailClamped {
-		t.Fatalf("report = %v, want 2 salvaged + torn-entry + tail clamp", rep)
-	}
-	if got := log.Entries(); !sameEntries(got, entries[:2]) {
-		t.Fatalf("entries = %+v, want %+v", got, entries[:2])
-	}
-	// A v1 header torn below 64 bytes is unrecoverable by design: the v1
-	// magic lives in the last header word.
-	short, rep2, err := ReadLenient(bytes.NewReader(raw[:HeaderSizeV1-8]))
-	if err != nil || short.Len() != 0 || !hasClass(rep2, CorruptBadMagic) {
-		t.Fatalf("torn v1 header: log=%v report=%v err=%v, want empty + bad-magic", short.Len(), rep2, err)
-	}
-}
-
 // TestReadLenientTailPastEOF: a header whose tail (and capacity) promise
 // more entries than the stream carries is clamped to the last fully
 // committed entry instead of being rejected.
@@ -329,6 +300,10 @@ func TestReadTypedErrors(t *testing.T) {
 	}
 	raw, _ := encodeCurrent(t, 1)
 	if _, err := Read(bytes.NewReader(raw[:HeaderSize-8])); !errors.Is(err, ErrTruncatedHeader) {
-		t.Fatalf("torn v2 header: err = %v, want ErrTruncatedHeader", err)
+		t.Fatalf("torn header: err = %v, want ErrTruncatedHeader", err)
+	}
+	// A non-log shorter than the header is short before it is foreign.
+	if _, err := Read(bytes.NewReader(make([]byte, 64))); !errors.Is(err, ErrTruncatedHeader) {
+		t.Fatalf("64 zero bytes: err = %v, want ErrTruncatedHeader", err)
 	}
 }

@@ -11,12 +11,11 @@
 // per-thread event order is preserved (the property the analyzer relies
 // on).
 //
-// Since format version 3 the entry region is sharded: each segment owns an
-// independent tail word on its own 64-byte cache line, and threads are
-// hashed onto segments by thread ID, so writer threads on different shards
-// never touch the same line. A single-shard log degenerates to the
-// version-2 behaviour (one tail, one entry region) with one extra segment
-// header between the main header and the entries:
+// The entry region is sharded: each segment owns an independent tail word
+// on its own 64-byte cache line, and threads are hashed onto segments by
+// thread ID, so writer threads on different shards never touch the same
+// line. A single-shard log has one tail and one entry region, behind one
+// segment header between the main header and the entries:
 //
 //	line 0 (bytes   0..63):  magic, version, pid, capacity, profiler addr,
 //	                         creator pid, attach gen, shard count
@@ -42,10 +41,6 @@
 // exactly one segment, so per-thread order is intact), and Read merges
 // persisted segments by the global counter value, so analyzer output is
 // byte-identical to a single-segment recording of the same events.
-//
-// Version-1 (packed 8-word header) and version-2 (padded header, single
-// unsharded entry region) streams are decode-only: Read still accepts them
-// and normalizes to the in-memory layout.
 //
 // On Linux and macOS the same layout can back a real cross-process shared
 // region: CreateFile / OpenFile lay the header and segments over a
@@ -74,12 +69,9 @@ import (
 // Layout constants. The on-disk representation is little-endian 64-bit
 // words matching the in-memory word layout exactly.
 const (
-	// HeaderWords is the number of 64-bit words in the version-2/3 main
-	// header: four 64-byte cache lines.
+	// HeaderWords is the number of 64-bit words in the main header: four
+	// 64-byte cache lines.
 	HeaderWords = 32
-	// HeaderWordsV1 is the number of header words in the legacy version-1
-	// format (decode-only support).
-	HeaderWordsV1 = 8
 	// SegHeaderWords is the number of 64-bit words in a version-3 segment
 	// header (one cache line): tail, capacity, dropped, five reserved.
 	SegHeaderWords = 8
@@ -89,22 +81,18 @@ const (
 	// word 2: thread ID (stored last: the commit marker)
 	EntryWords = 3
 
-	// HeaderSize, HeaderSizeV1, SegHeaderSize and EntrySize are the byte
-	// sizes of the corresponding structures in the persisted format.
+	// HeaderSize, SegHeaderSize and EntrySize are the byte sizes of the
+	// corresponding structures in the persisted format.
 	HeaderSize    = HeaderWords * 8
-	HeaderSizeV1  = HeaderWordsV1 * 8
 	SegHeaderSize = SegHeaderWords * 8
 	EntrySize     = EntryWords * 8
 
 	// Magic identifies a persisted TEE-Perf log ("TEEPERF1").
 	Magic uint64 = 0x5445455045524631
 
-	// Version is the current log structure version: the sharded-segment
-	// layout. VersionV2 (padded header, single flat entry region) and
-	// VersionV1 (packed header) are legacy formats, still decoded by Read.
-	Version   uint64 = 3
-	VersionV2 uint64 = 2
-	VersionV1 uint64 = 1
+	// Version is the log structure version: the sharded-segment layout.
+	// It is the only version Read and ReadLenient accept.
+	Version uint64 = 3
 
 	// MaxShards bounds the shard count of one log. The probe runtime hashes
 	// thread IDs onto shards, so more shards than plausible threads is
@@ -113,7 +101,7 @@ const (
 	MaxShards = 1 << 12
 )
 
-// Header word indexes (version-2/3 main-header layout). The mutable words —
+// Header word indexes of the main header. The mutable words —
 // flags, counter — each sit on their own cache line (8 words apart); the
 // remaining words of each line are reserved padding, persisted as zero.
 //
@@ -153,7 +141,7 @@ const (
 	wordAddrMaskLo   = 12 // deny address range [lo, hi): suppressed when hi > lo
 	wordAddrMaskHi   = 13
 
-	wordTail      = 16 // v2 tail / v3 persisted total (cache line 2)
+	wordTail      = 16 // persisted total (cache line 2)
 	wordDropped   = 17 // drop counter (cold: touched only when full)
 	wordMasked    = 18 // events suppressed by sampling/masks (cold, flushed in bulk)
 	wordBatchSize = 19 // configured probe batch, stored once when > 1 (0 reads as 1)
@@ -177,18 +165,6 @@ const (
 // reports the segment full, and no run of such adds can carry out of it.
 const sealBit = 1 << 62
 
-// Version-1 header word indexes (decode-only).
-const (
-	v1WordFlags = iota
-	v1WordVersion
-	v1WordPID
-	v1WordCapacity
-	v1WordTail
-	v1WordProfilerAddr
-	v1WordCounter
-	v1WordMagic
-)
-
 // Flag bits stored in the header flags word. Flags may be toggled while the
 // measured application runs; all access is atomic so toggling introduces no
 // critical section into the measured execution.
@@ -210,8 +186,7 @@ const (
 
 	// FlagSampled marks a log recorded (at least partly) with a sampling
 	// period above 1: folded weights must be scaled by the period word to
-	// estimate the full profile. Introduced with format v3's control words;
-	// unknown to v1/v2 decoders.
+	// estimate the full profile.
 	FlagSampled uint64 = 1 << 5
 
 	// EventMask covers all event-selection bits.
@@ -332,10 +307,6 @@ type Log struct {
 	shards int
 	segCap int
 
-	// srcVersion is the format version the log was decoded from (Version
-	// for logs created by New).
-	srcVersion uint64
-
 	// mapped/file/path are set only for file-backed logs (CreateFile /
 	// OpenFile): words then aliases the MAP_SHARED byte region, so every
 	// atomic store is visible to other processes mapping the same file.
@@ -356,7 +327,6 @@ type Option interface {
 
 type options struct {
 	pid          uint64
-	version      uint64
 	profilerAddr uint64
 	sync         Sync
 	flags        uint64
@@ -395,13 +365,6 @@ func (o flagsOption) apply(opts *options) { opts.flags = uint64(o) }
 // WithFlags sets the initial header flags. The default enables recording of
 // both calls and returns with the log active.
 func WithFlags(flags uint64) Option { return flagsOption(flags) }
-
-type versionOption uint64
-
-func (o versionOption) apply(opts *options) { opts.version = uint64(o) }
-
-// WithVersion overrides the log structure version (testing only).
-func WithVersion(v uint64) Option { return versionOption(v) }
 
 type shardsOption int
 
@@ -447,10 +410,9 @@ func New(capacity int, opts ...Option) (*Log, error) {
 		return nil, fmt.Errorf("shmlog: capacity must be positive, got %d", capacity)
 	}
 	o := options{
-		version: Version,
-		sync:    SyncAtomic,
-		flags:   FlagActive | EventCall | EventReturn,
-		shards:  1,
+		sync:   SyncAtomic,
+		flags:  FlagActive | EventCall | EventReturn,
+		shards: 1,
 	}
 	for _, opt := range opts {
 		opt.apply(&o)
@@ -464,14 +426,13 @@ func New(capacity int, opts ...Option) (*Log, error) {
 	segCap := segCapFor(capacity, o.shards)
 	total := segCap * o.shards
 	l := &Log{
-		words:      make([]uint64, HeaderWords+o.shards*(SegHeaderWords+segCap*EntryWords)),
-		sync:       o.sync,
-		shards:     o.shards,
-		segCap:     segCap,
-		srcVersion: o.version,
+		words:  make([]uint64, HeaderWords+o.shards*(SegHeaderWords+segCap*EntryWords)),
+		sync:   o.sync,
+		shards: o.shards,
+		segCap: segCap,
 	}
 	l.words[wordMagic] = Magic
-	l.words[wordVersion] = o.version
+	l.words[wordVersion] = Version
 	l.words[wordPID] = o.pid
 	l.words[wordCapacity] = uint64(total)
 	l.words[wordProfilerAddr] = o.profilerAddr
@@ -587,11 +548,6 @@ func (l *Log) SetPID(pid uint64) { atomic.StoreUint64(&l.words[wordPID], pid) }
 
 // Version returns the log structure version of the in-memory layout.
 func (l *Log) Version() uint64 { return atomic.LoadUint64(&l.words[wordVersion]) }
-
-// SourceVersion returns the format version the log was decoded from: for
-// logs decoded by Read it may be VersionV1 or VersionV2; for logs created
-// by New it is the configured (normally current) version.
-func (l *Log) SourceVersion() uint64 { return l.srcVersion }
 
 // ProfilerAddr returns the recorded profiler anchor address.
 func (l *Log) ProfilerAddr() uint64 { return atomic.LoadUint64(&l.words[wordProfilerAddr]) }
@@ -887,8 +843,8 @@ func (l *Log) Close() error {
 
 // AddCounter atomically advances the header counter word by delta and
 // returns the new value. The software counter thread calls this in its
-// tight loop; since format v2 the counter word owns a whole cache line, so
-// the loop no longer contends with tail reservations or flag reads.
+// tight loop; the counter word owns a whole cache line, so the loop does
+// not contend with tail reservations or flag reads.
 func (l *Log) AddCounter(delta uint64) uint64 {
 	return atomic.AddUint64(&l.words[wordCounter], delta)
 }
@@ -1325,18 +1281,15 @@ type rawSlot struct {
 // markers, counter word 0 or stale) ride along and are dismissed by readers
 // exactly as in a single-segment log. A single segment is already in slot
 // order and is written as it is.
-func buildDecoded(slots []rawSlot, merge bool, srcVersion, pid, profilerAddr, flags, counter, samplePeriod uint64) *Log {
+func buildDecoded(slots []rawSlot, merge bool, pid, profilerAddr, flags, counter, samplePeriod uint64) *Log {
 	n := len(slots)
 	l := &Log{
-		words:      make([]uint64, HeaderWords+SegHeaderWords+n*EntryWords),
-		sync:       SyncAtomic,
-		shards:     1,
-		segCap:     n,
-		srcVersion: srcVersion,
+		words:  make([]uint64, HeaderWords+SegHeaderWords+n*EntryWords),
+		sync:   SyncAtomic,
+		shards: 1,
+		segCap: n,
 	}
 	l.words[wordMagic] = Magic
-	// Decoded logs are normalized to the current in-memory layout and
-	// version; SourceVersion keeps the origin.
 	l.words[wordVersion] = Version
 	l.words[wordPID] = pid
 	l.words[wordProfilerAddr] = profilerAddr
@@ -1373,20 +1326,12 @@ func slotCounter(s *rawSlot) uint64 { return s.w0 & counterMask }
 // the body bytes back them up.
 const maxEntries = 1 << 32
 
-// Read decodes a persisted log, accepting the current sharded format plus
-// legacy version-2 (padded header, flat entry region) and version-1 (packed
-// 64-byte header) streams. The returned log is inactive (read-only use),
-// always uses the in-memory single-segment layout — a sharded stream is
-// merged at read time by the global counter value — and still supports
-// Entry/Entries/Len and header accessors; SourceVersion reports the format
-// it was decoded from.
+// Read decodes a persisted log. The returned log is inactive (read-only
+// use), always uses the in-memory single-segment layout — a sharded stream
+// is merged at read time by the global counter value — and still supports
+// Entry/Entries/Len and header accessors.
 func Read(r io.Reader) (*Log, error) {
-	// All formats share a 64-byte prefix length: v1 is exactly 64 bytes
-	// of header, v2/v3 begin with their first cache line. The magic word
-	// disambiguates: v1 stores it in word 7, v2/v3 in word 0, and neither
-	// position can fake the other (v1 word 0 holds small flag bits, v2
-	// word 7 is reserved padding, v3 word 7 is a small shard count).
-	head := make([]byte, HeaderSizeV1)
+	head := make([]byte, HeaderSize)
 	if _, err := io.ReadFull(r, head); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, ErrEmptyLog
@@ -1396,64 +1341,14 @@ func Read(r io.Reader) (*Log, error) {
 		}
 		return nil, fmt.Errorf("shmlog: read header: %w", err)
 	}
-	var prefix [HeaderWordsV1]uint64
-	for i := range prefix {
-		prefix[i] = binary.LittleEndian.Uint64(head[i*8:])
-	}
-
-	switch {
-	case prefix[v1WordMagic] == Magic:
-		if prefix[v1WordVersion] != VersionV1 {
-			return nil, fmt.Errorf("%w: %d", ErrBadVersion, prefix[v1WordVersion])
-		}
-		return readFlat(r, VersionV1,
-			prefix[v1WordFlags], prefix[v1WordPID], prefix[v1WordProfilerAddr],
-			prefix[v1WordCounter], prefix[v1WordCapacity], prefix[v1WordTail])
-	case prefix[wordMagic] == Magic:
-		// v2 and v3 share the 32-word main header; read the rest.
-		rest := make([]byte, HeaderSize-HeaderSizeV1)
-		if _, err := io.ReadFull(r, rest); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil, ErrTruncatedHeader
-			}
-			return nil, fmt.Errorf("shmlog: read header: %w", err)
-		}
-		word := func(i int) uint64 {
-			if i < HeaderWordsV1 {
-				return prefix[i]
-			}
-			return binary.LittleEndian.Uint64(rest[(i-HeaderWordsV1)*8:])
-		}
-		switch v := prefix[wordVersion]; v {
-		case VersionV2:
-			return readFlat(r, VersionV2,
-				word(wordFlags), word(wordPID), word(wordProfilerAddr),
-				word(wordCounter), word(wordCapacity), word(wordTail))
-		case Version:
-			return readSharded(r, word)
-		default:
-			return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
-		}
-	default:
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(head[i*8:]) }
+	if word(wordMagic) != Magic {
 		return nil, ErrBadMagic
 	}
-}
-
-// readFlat decodes the entry body of a legacy v1/v2 stream: tail entries
-// immediately following the header, one flat region.
-func readFlat(r io.Reader, srcVersion, flags, pid, profilerAddr, counter, capacity, tail uint64) (*Log, error) {
-	if tail > capacity {
-		tail = capacity
+	if v := word(wordVersion); v != Version {
+		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	if capacity > maxEntries {
-		return nil, fmt.Errorf("shmlog: unreasonable capacity %d", capacity)
-	}
-	slots := make([]rawSlot, 0, clampEntries(tail))
-	if err := readSlots(r, &slots, int(tail)); err != nil {
-		return nil, err
-	}
-	// v1/v2 predate the sampling-period word: always a full recording.
-	return buildDecoded(slots, false, srcVersion, pid, profilerAddr, flags, counter, 0), nil
+	return readSharded(r, word)
 }
 
 // readSharded decodes a v3 body: per-segment headers and compacted entry
@@ -1497,7 +1392,7 @@ func readSharded(r io.Reader, word func(int) uint64) (*Log, error) {
 		keep := len(slots) - (int(segCap) - int(segTail))
 		slots = slots[:keep]
 	}
-	return buildDecoded(slots, shards > 1, Version,
+	return buildDecoded(slots, shards > 1,
 		word(wordPID), word(wordProfilerAddr), word(wordFlags), word(wordCounter),
 		word(wordSamplePeriod)), nil
 }
@@ -1704,13 +1599,4 @@ func (c *Cursor) decode(s, i int, tid uint64) Entry {
 		e.Kind = KindReturn
 	}
 	return e
-}
-
-// clampEntries bounds the initial allocation hint for decoded logs.
-func clampEntries(tail uint64) int {
-	const hintLimit = 1 << 16
-	if tail > hintLimit {
-		return hintLimit
-	}
-	return int(tail)
 }

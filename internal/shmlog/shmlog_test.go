@@ -2,6 +2,7 @@ package shmlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -424,19 +425,55 @@ func TestReadErrors(t *testing.T) {
 			t.Fatalf("err = %v, want ErrBadMagic", err)
 		}
 	})
+	withVersion := func(v uint64) []byte {
+		raw, _ := encodeCurrent(t, 4)
+		binary.LittleEndian.PutUint64(raw[wordVersion*8:], v)
+		return raw
+	}
 	t.Run("bad version", func(t *testing.T) {
-		l, err := New(1, WithVersion(99))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := l.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Read(&buf); !errors.Is(err, ErrBadVersion) {
+		if _, err := Read(bytes.NewReader(withVersion(99))); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("err = %v, want ErrBadVersion", err)
 		}
 	})
+	// The retired layouts fail typed, strictly and leniently. A version-1
+	// header was 8 packed words with the flags in word 0 and the magic in
+	// word 7, followed directly by the entries.
+	v1Shaped := make([]byte, HeaderSize)
+	binary.LittleEndian.PutUint64(v1Shaped[0:], EventCall|EventReturn)
+	binary.LittleEndian.PutUint64(v1Shaped[8:], 1)
+	binary.LittleEndian.PutUint64(v1Shaped[7*8:], Magic)
+	for off := 64; off < len(v1Shaped); off += EntrySize {
+		binary.LittleEndian.PutUint64(v1Shaped[off:], uint64(off))
+		binary.LittleEndian.PutUint64(v1Shaped[off+8:], 0x400010)
+		binary.LittleEndian.PutUint64(v1Shaped[off+16:], 1)
+	}
+	for _, tc := range []struct {
+		name  string
+		raw   []byte
+		want  error
+		class Corruption
+	}{
+		{"version 1 word", withVersion(1), ErrBadVersion, CorruptBadVersion},
+		{"version 2 word", withVersion(2), ErrBadVersion, CorruptBadVersion},
+		{"v1-shaped header", v1Shaped, ErrBadMagic, CorruptBadMagic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Read(bytes.NewReader(tc.raw)); !errors.Is(err, tc.want) {
+				t.Fatalf("Read: err = %v, want %v", err, tc.want)
+			}
+			log, rep := readLenient(t, tc.raw)
+			if !hasClass(rep, tc.class) {
+				t.Fatalf("ReadLenient classes %v, want %s", rep.Corruption, tc.class)
+			}
+			var out bytes.Buffer
+			if _, err := log.WriteTo(&out); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Read(&out); err != nil {
+				t.Fatalf("strict Read of salvaged log: %v", err)
+			}
+		})
+	}
 	t.Run("truncated body", func(t *testing.T) {
 		l, err := New(8)
 		if err != nil {
