@@ -82,15 +82,7 @@ func cmdRecover(args []string) error {
 	}
 
 	if *output != "" {
-		out, err := os.Create(*output)
-		if err != nil {
-			return err
-		}
-		defer out.Close()
-		if err := recorder.WriteBundle(out, tab, log); err != nil {
-			return fmt.Errorf("write %s: %w", *output, err)
-		}
-		if err := out.Sync(); err != nil {
+		if err := recorder.WriteBundleFile(*output, tab, log); err != nil {
 			return err
 		}
 		fmt.Printf("wrote clean bundle %s\n", *output)

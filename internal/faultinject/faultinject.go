@@ -1,7 +1,7 @@
 // Package faultinject provides deterministic, seed-driven fault points for
-// the record→persist→analyze pipeline. The recorder's checkpointer, the
-// software counter and the tests wire an Injector into the paths that must
-// survive hostile conditions (TEEMon's "the monitor is a production
+// the record→persist→analyze pipeline. The recorder's bundle-file writer,
+// the software counter and the tests wire an Injector into the paths that
+// must survive hostile conditions (TEEMon's "the monitor is a production
 // service" stance, Stress-SGX's "stress it on purpose" stance): short,
 // failed and slow writes, a stalled counter thread, a process kill between
 // any two persistence steps, and bit-flips in the header or entry region
@@ -36,8 +36,9 @@ const (
 	// PointNone is the zero Point; it is never hit.
 	PointNone Point = iota
 
-	// CheckpointBegin fires at the top of one checkpoint pass, before
-	// the .part file is created.
+	// CheckpointBegin fires at the top of one recorder bundle-file write
+	// (a checkpoint pass, Persist or PersistSegment), before the .part
+	// file is created.
 	CheckpointBegin
 	// CheckpointWrite fires once per Write call while the bundle body
 	// streams into the .part file (the injectable writer wrapper).

@@ -123,7 +123,7 @@ func WriteSymsFile(path string, tab *symtab.Table) error {
 // instead of once per poll.
 type SymsLoader struct {
 	path string
-	seen time.Time
+	seen os.FileInfo // the publication last adopted (nil before the first)
 }
 
 // NewSymsLoader watches the side file of the shared mapping at shmPath.
@@ -134,20 +134,25 @@ func NewSymsLoader(shmPath string) *SymsLoader {
 // Path returns the watched side-file path.
 func (s *SymsLoader) Path() string { return s.path }
 
-// Load returns the freshly parsed table and true when the side file has a
-// newer modification time than the last successful Load; otherwise
+// Load returns the freshly parsed table and true when the side file is a
+// different file (WriteSymsFile renames a fresh one in per publication) or
+// has a newer modification time than at the last successful Load; otherwise
 // (missing file, unchanged file, parse error on a torn concurrent write)
-// it returns nil and false.
+// it returns nil and false. The identity check catches a republication
+// within one mtime tick of a coarse-timestamp filesystem.
 func (s *SymsLoader) Load() (*symtab.Table, bool) {
 	st, err := os.Stat(s.path)
-	if err != nil || !st.ModTime().After(s.seen) {
+	if err != nil {
+		return nil, false
+	}
+	if s.seen != nil && os.SameFile(st, s.seen) && !st.ModTime().After(s.seen.ModTime()) {
 		return nil, false
 	}
 	tab, err := ReadSymsFile(s.path)
 	if err != nil {
 		return nil, false
 	}
-	s.seen = st.ModTime()
+	s.seen = st
 	return tab, true
 }
 

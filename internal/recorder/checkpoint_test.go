@@ -25,6 +25,7 @@ const (
 	envPath      = "TEEPERF_CKPT_PATH"
 	envNth       = "TEEPERF_CKPT_NTH"
 	envSkipClean = "TEEPERF_CKPT_SKIP_CLEAN"
+	envPersist   = "TEEPERF_CKPT_PERSIST"
 )
 
 func TestMain(m *testing.M) {
@@ -41,7 +42,10 @@ func TestMain(m *testing.M) {
 // runCheckpointChild is the crash victim: it records a workload, arms a
 // process kill at the named fault point, and triggers a checkpoint pass
 // (or, for CounterStall, just waits for the counter thread to reach the
-// point). It never returns on success — SIGKILL takes the whole process.
+// point). In the Persist phase it instead stops the recorder — whose final
+// checkpoint lands at the path — and persists onto that same path, as
+// `teeperf record -checkpoint` does. It never returns on success — SIGKILL
+// takes the whole process.
 func runCheckpointChild() {
 	point, ok := faultinject.PointByName(os.Getenv(envPoint))
 	if !ok {
@@ -98,6 +102,15 @@ func runCheckpointChild() {
 		}
 	}
 
+	if os.Getenv(envPersist) != "" {
+		if err := r.Stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "checkpoint child: stop: %v\n", err)
+			os.Exit(4)
+		}
+		inj.Arm(point, nth, faultinject.Kill())
+		_ = r.Persist(path) // SIGKILL fires mid-write; this never returns
+		return
+	}
 	inj.Arm(point, nth, faultinject.Kill())
 	if point == faultinject.CounterStall {
 		// The spin thread hits the point within microseconds; the deadline
@@ -109,8 +122,9 @@ func runCheckpointChild() {
 }
 
 // runKillChild re-executes the test binary as a crash victim and asserts
-// it died by SIGKILL.
-func runKillChild(t *testing.T, point, path string, nth int, skipClean bool) {
+// it died by SIGKILL. extraEnv selects a child phase (envSkipClean,
+// envPersist).
+func runKillChild(t *testing.T, point, path string, nth int, extraEnv ...string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(),
@@ -119,8 +133,8 @@ func runKillChild(t *testing.T, point, path string, nth int, skipClean bool) {
 		envPath+"="+path,
 		envNth+"="+strconv.Itoa(nth),
 	)
-	if skipClean {
-		cmd.Env = append(cmd.Env, envSkipClean+"=1")
+	for _, e := range extraEnv {
+		cmd.Env = append(cmd.Env, e+"=1")
 	}
 	out, err := cmd.CombinedOutput()
 	var exitErr *exec.ExitError
@@ -135,8 +149,9 @@ func runKillChild(t *testing.T, point, path string, nth int, skipClean bool) {
 
 // TestCheckpointKillAtEveryFaultPoint is the acceptance test for the
 // crash-consistency design: SIGKILL the recorder between ANY two
-// persistence steps (every checkpoint fault point) and the last completed
-// checkpoint must still load strictly into a non-empty profile, while any
+// persistence steps (every checkpoint fault point) of a checkpoint pass,
+// or of a Persist onto the final checkpoint's path, and the last completed
+// bundle must still load strictly into a non-empty profile, while any
 // torn .part left behind must at least be salvageable leniently.
 func TestCheckpointKillAtEveryFaultPoint(t *testing.T) {
 	if testing.Short() {
@@ -147,36 +162,51 @@ func TestCheckpointKillAtEveryFaultPoint(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			t.Parallel()
 			path := filepath.Join(t.TempDir(), "run.teeperf")
-			runKillChild(t, p.String(), path, 1, false)
-
-			// The atomic-rename contract: the final path always holds a
-			// complete bundle from a finished pass.
-			tab, log, err := ReadBundleFile(path)
-			if err != nil {
-				t.Fatalf("final bundle unreadable after kill at %v: %v", p, err)
-			}
-			if log.Len() == 0 {
-				t.Fatalf("final bundle empty after kill at %v", p)
-			}
-			prof, err := analyzer.Analyze(log, tab)
-			if err != nil {
-				t.Fatalf("analyze final bundle: %v", err)
-			}
-			if len(prof.Records()) == 0 {
-				t.Fatalf("final profile has no completed calls after kill at %v", p)
-			}
-
-			// A torn .part (when the kill left one) must either salvage
-			// leniently or be rejected as unrecoverable (e.g. zero bytes
-			// written before the kill) — never anything worse. The final
-			// bundle above is the actual safety net.
-			if f, err := os.Open(path + ".part"); err == nil {
-				defer f.Close()
-				if _, _, _, err := ReadBundleLenient(f); err != nil && !errors.Is(err, ErrBadBundle) {
-					t.Errorf("torn .part after kill at %v: unexpected error class: %v", p, err)
-				}
-			}
+			runKillChild(t, p.String(), path, 1)
+			checkKilledBundle(t, p, path)
 		})
+		if p == faultinject.CounterStall {
+			continue // not a point of the bundle-file writer
+		}
+		t.Run("persist-"+p.String(), func(t *testing.T) {
+			t.Parallel()
+			path := filepath.Join(t.TempDir(), "run.teeperf")
+			runKillChild(t, p.String(), path, 1, envPersist)
+			checkKilledBundle(t, p, path)
+		})
+	}
+}
+
+// checkKilledBundle asserts the recovery invariant after a kill at p: path
+// loads strictly into a non-empty profile and any .part salvages.
+func checkKilledBundle(t *testing.T, p faultinject.Point, path string) {
+	t.Helper()
+	// The atomic-rename contract: the final path always holds a complete
+	// bundle from a finished write.
+	tab, log, err := ReadBundleFile(path)
+	if err != nil {
+		t.Fatalf("final bundle unreadable after kill at %v: %v", p, err)
+	}
+	if log.Len() == 0 {
+		t.Fatalf("final bundle empty after kill at %v", p)
+	}
+	prof, err := analyzer.Analyze(log, tab)
+	if err != nil {
+		t.Fatalf("analyze final bundle: %v", err)
+	}
+	if len(prof.Records()) == 0 {
+		t.Fatalf("final profile has no completed calls after kill at %v", p)
+	}
+
+	// A torn .part (when the kill left one) must either salvage leniently
+	// or be rejected as unrecoverable (e.g. zero bytes written before the
+	// kill) — never anything worse. The final bundle above is the actual
+	// safety net.
+	if f, err := os.Open(path + ".part"); err == nil {
+		defer f.Close()
+		if _, _, _, err := ReadBundleLenient(f); err != nil && !errors.Is(err, ErrBadBundle) {
+			t.Errorf("torn .part after kill at %v: unexpected error class: %v", p, err)
+		}
 	}
 }
 
@@ -190,7 +220,7 @@ func TestCheckpointKillMidFirstWrite(t *testing.T) {
 		t.Skip("subprocess kill test skipped in -short")
 	}
 	path := filepath.Join(t.TempDir(), "run.teeperf")
-	runKillChild(t, faultinject.CheckpointWrite.String(), path, 2, true)
+	runKillChild(t, faultinject.CheckpointWrite.String(), path, 2, envSkipClean)
 
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("final bundle exists despite no pass completing (stat err=%v)", err)
@@ -345,5 +375,91 @@ func TestCheckpointShortWriteFailsPass(t *testing.T) {
 	// The rename never happened: no final bundle.
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("short-written bundle was committed (err=%v)", err)
+	}
+}
+
+// TestPersistFaultKeepsCheckpoint: a Persist that fails mid-write onto the
+// path of a complete checkpoint must leave that checkpoint loadable — the
+// write goes to path+".part" and never reaches the rename.
+func TestPersistFaultKeepsCheckpoint(t *testing.T) {
+	inj := faultinject.New(1)
+	r, _ := newTestRecorder(t, WithFaultInjector(inj))
+	path := filepath.Join(t.TempDir(), "run.teeperf")
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	th := r.Thread()
+	th.Enter(r.AddrOf("main"))
+	th.Exit(r.AddrOf("main"))
+	if err := r.StartCheckpoint(path, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	th.Enter(r.AddrOf("work"))
+	th.Exit(r.AddrOf("work"))
+
+	inj.Arm(faultinject.CheckpointWrite, 1, faultinject.Short())
+	if err := r.Persist(path); err == nil {
+		t.Fatal("short write did not fail Persist")
+	}
+	_, log, err := ReadBundleFile(path)
+	if err != nil {
+		t.Fatalf("checkpoint torn by a failed Persist: %v", err)
+	}
+	if log.Len() != 2 {
+		t.Fatalf("checkpoint has %d entries, want the 2 of the clean pass", log.Len())
+	}
+}
+
+// TestPersistRacesCheckpointer: Persist calls onto the path a running
+// checkpointer writes every millisecond, while probes record, must all
+// succeed and leave a strictly loadable bundle each time (run under
+// -race in CI).
+func TestPersistRacesCheckpointer(t *testing.T) {
+	r, _ := newTestRecorder(t, WithCapacity(1<<16))
+	path := filepath.Join(t.TempDir(), "run.teeperf")
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		th := r.Thread()
+		addr := r.AddrOf("main")
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			th.Enter(addr)
+			th.Exit(addr)
+		}
+	}()
+	if err := r.StartCheckpoint(path, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := r.Persist(path); err != nil {
+			t.Fatalf("Persist %d: %v", i, err)
+		}
+		if _, _, err := ReadBundleFile(path); err != nil {
+			t.Fatalf("bundle after Persist %d: %v", i, err)
+		}
+	}
+	close(stop)
+	<-done
+	if err := r.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if cs := r.CheckpointStats(); cs.LastErr != nil {
+		t.Fatalf("checkpoint pass failed: %v", cs.LastErr)
+	}
+	if _, _, err := ReadBundleFile(path); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -229,8 +229,7 @@ const (
 
 // bulkBufSize is the scratch-buffer size shared by WriteTo and Read: big
 // enough to amortize Write/Read syscalls, small enough to stay cache- and
-// stack-friendly. It is a multiple of the direct-I/O block size so the
-// double-buffered writer can hand whole buffers to an O_DIRECT file.
+// stack-friendly.
 const bulkBufSize = 64 * 1024
 
 // Sync selects the slot-reservation strategy. The paper designs the log for
