@@ -132,6 +132,31 @@ func TestCLIExitCodes(t *testing.T) {
 			t.Fatalf("stderr lacks intact-bundle message: %s", stderr)
 		}
 	})
+	t.Run("recover -o keeps its .part input", func(t *testing.T) {
+		ensureFixtures(t)
+		torn, err := os.ReadFile("testdata/torn.teeperf.part")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		in, out := filepath.Join(dir, "run.teeperf.part"), filepath.Join(dir, "run.teeperf")
+		if err := os.WriteFile(in, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, stderr, code := runCLI(t, nil, "recover", "-i", in, "-o", out, "-top", "0")
+		if code != 0 {
+			t.Fatalf("exit = %d, want 0\nstderr: %s", code, stderr)
+		}
+		if got, err := os.ReadFile(in); err != nil || !bytes.Equal(got, torn) {
+			t.Fatalf("recover -o changed its input %s (err %v)", in, err)
+		}
+		if _, _, err := recorder.ReadBundleFile(out); err != nil {
+			t.Fatalf("salvaged bundle does not load strictly: %v", err)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 2 {
+			t.Fatalf("dir holds %d files after recover, want input and output only", len(ents))
+		}
+	})
 	t.Run("record bad output path fails", func(t *testing.T) {
 		out := filepath.Join(t.TempDir(), "no", "such", "dir", "x.teeperf")
 		_, stderr, code := runCLI(t, nil,

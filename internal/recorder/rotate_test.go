@@ -231,3 +231,22 @@ func TestPersistSegmentError(t *testing.T) {
 		t.Error("unwritable path should fail")
 	}
 }
+
+// A rotated segment is written even while a Persist or checkpoint pass
+// holds the file lock: waiting there would delay the next rotation until
+// the log drops events.
+func TestPersistSegmentDoesNotWaitForCheckpoint(t *testing.T) {
+	r, _ := newTestRecorder(t)
+	r.fileMu.Lock()
+	defer r.fileMu.Unlock()
+	done := make(chan error, 1)
+	go func() { done <- r.PersistSegment(r.Log(), filepath.Join(t.TempDir(), "segment-0001.teeperf")) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("PersistSegment waited for the checkpoint lock")
+	}
+}
