@@ -572,12 +572,18 @@ func BenchmarkAppendParallel(b *testing.B) {
 // goroutines, own thread handles) recording full call PAIRS under a sampling
 // period: suppressed pairs skip the counter read and the reservation
 // entirely, so ns/op (per pair) should fall steeply as the period grows.
+// Period 0 runs the same pairs against an inactive log: every probe returns
+// at the activation flag and nothing is recorded, so the log needs no room.
 func benchAppendSampled(b *testing.B, goroutines int, period uint64) {
-	perThread := 2 * (b.N/goroutines + b.N%goroutines + 2)
-	log, err := shmlog.New(goroutines*perThread+64, shmlog.WithSamplePeriod(period))
+	capacity := goroutines*2*(b.N/goroutines+b.N%goroutines+2) + 64
+	if period == 0 {
+		capacity = 64
+	}
+	log, err := shmlog.New(capacity, shmlog.WithSamplePeriod(max(period, 1)))
 	if err != nil {
 		b.Fatal(err)
 	}
+	log.SetActive(period != 0)
 	rt, err := probe.New(log, counter.NewTSC())
 	if err != nil {
 		b.Fatal(err)
@@ -614,9 +620,13 @@ func benchAppendSampled(b *testing.B, goroutines int, period uint64) {
 }
 
 // BenchmarkAppendSampled sweeps the sampling period on a parallel pair
-// workload. The bench gate holds the p64/p1 ratio: period-64 sampling must
-// keep at least its 5x probe-side win.
+// workload; "off" is the same load with recording inactive. The bench gate
+// holds p64 within a fixed multiple of off, so suppressed events must stay
+// near the cost of a probe that records nothing.
 func BenchmarkAppendSampled(b *testing.B) {
+	b.Run("off", func(b *testing.B) {
+		benchAppendSampled(b, 4, 0)
+	})
 	for _, period := range []uint64{1, 8, 64} {
 		b.Run(fmt.Sprintf("p%d", period), func(b *testing.B) {
 			benchAppendSampled(b, 4, period)

@@ -5,6 +5,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"teeperf"
+	"teeperf/internal/faultinject"
+	"teeperf/internal/shmlog"
 )
 
 // chdirTemp runs the CLI from a scratch directory so outputs don't litter
@@ -203,4 +207,48 @@ func TestCLITransitionsAndInteractiveFlame(t *testing.T) {
 	if !strings.Contains(string(data), "<script><![CDATA[") {
 		t.Error("interactive flame graph missing zoom script")
 	}
+}
+
+// TestCheckpointedRunWritesBundleOnce: with -checkpoint, Stop's final
+// checkpoint pass writes the finished bundle to <output>, so record and
+// run must not write the same bundle a second time. The interval outlasts
+// the run, so that final pass is the only bundle write.
+func TestCheckpointedRunWritesBundleOnce(t *testing.T) {
+	countWrites := func(t *testing.T, args ...string) *teeperf.Profile {
+		t.Helper()
+		inj := faultinject.Default
+		inj.Reset()
+		t.Cleanup(inj.Reset)
+		// Hits count only while some point is armed; the store's GC point
+		// is never reached here.
+		inj.Arm(faultinject.StoreGC, 1, faultinject.Fail())
+		out := filepath.Join(t.TempDir(), "run.teeperf")
+		if err := run(append([]string{args[0], "-checkpoint", "1h", "-o", out}, args[1:]...)); err != nil {
+			t.Fatalf("%s: %v", args[0], err)
+		}
+		if got := inj.Hits(faultinject.CheckpointBegin); got != 1 {
+			t.Errorf("%s -checkpoint wrote the bundle %d times, want 1", args[0], got)
+		}
+		p, err := teeperf.Load(out)
+		if err != nil {
+			t.Fatalf("load %s: %v", out, err)
+		}
+		return p
+	}
+	t.Run("record", func(t *testing.T) {
+		countWrites(t, "record", "-workload", "phoenix/histogram", "-scale", "1")
+	})
+	t.Run("run", func(t *testing.T) {
+		if !shmlog.MmapSupported {
+			t.Skip("cross-process recording unsupported on this platform")
+		}
+		// The child is this test binary in the instrumented-application
+		// role (see TestMain).
+		t.Setenv("TEEPERF_CLI_EXEC", "1")
+		t.Setenv("TEEPERF_RT_CHILD", "1")
+		p := countWrites(t, "run", "-capacity", "4096", "--", os.Args[0], "-test.run=^$")
+		if st, ok := p.Func("cli_child_fn"); !ok || st.Calls != 3 {
+			t.Errorf("cli_child_fn = %+v, want 3 calls", st)
+		}
+	})
 }

@@ -94,8 +94,12 @@ func cmdRecord(args []string) error {
 	if err := rec.Stop(); err != nil {
 		return err
 	}
-	if err := rec.Persist(*output); err != nil {
-		return err
+	// With -checkpoint, Stop's final checkpoint pass already wrote the
+	// finished bundle to <output>.
+	if *checkpoint <= 0 {
+		if err := rec.Persist(*output); err != nil {
+			return err
+		}
 	}
 	st := rec.Stats()
 	fmt.Printf("recorded %d events (%d dropped) in %v; wrote %s\n",
@@ -156,6 +160,10 @@ func printStatsSummary(st recorder.Stats) {
 			"WARNING: %d events were dropped (%.0f/s, log full at %d entries) — the profile is truncated.\n"+
 				"         Increase capacity, use selective profiling (-only), or rotate segments.\n",
 			st.Dropped, st.DropRate, st.Capacity)
+	}
+	if st.RotatedLost > 0 {
+		fmt.Fprintf(os.Stderr, "WARNING: %d entries of rotated-out segments could not be written — the profile is missing them.\n",
+			st.RotatedLost)
 	}
 }
 

@@ -100,12 +100,15 @@ func cmdRun(args []string) error {
 		return err
 	}
 	// Persist even when the child failed or was killed: whatever reached
-	// the mapping is exactly what crash salvage is for.
-	if err := rec.Persist(*output); err != nil {
-		if runErr != nil {
-			return fmt.Errorf("command failed (%v) and persist failed: %w", runErr, err)
+	// the mapping is exactly what crash salvage is for. With -checkpoint,
+	// Stop's final checkpoint pass already wrote it to <output>.
+	if *checkpoint <= 0 {
+		if err := rec.Persist(*output); err != nil {
+			if runErr != nil {
+				return fmt.Errorf("command failed (%v) and persist failed: %w", runErr, err)
+			}
+			return err
 		}
-		return err
 	}
 	st := rec.Stats()
 	fmt.Printf("recorded %d events (%d dropped) in %v; wrote %s\n",

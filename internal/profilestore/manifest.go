@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"teeperf/internal/faultinject"
+	"teeperf/internal/recorder"
 )
 
 // Manifest protocol (LevelDB-style): the store's durable state is one
@@ -211,7 +212,7 @@ func writeManifest(dir string, m *manifest, inj *faultinject.Injector) error {
 		os.Remove(ctmp)
 		return err
 	}
-	syncDir(dir)
+	recorder.SyncDir(dir)
 	return nil
 }
 
@@ -290,13 +291,4 @@ func syncFile(path string) error {
 		err = cerr
 	}
 	return err
-}
-
-// syncDir best-effort fsyncs a directory so renames are durable; some
-// filesystems refuse, which is not worth failing a commit over.
-func syncDir(dir string) {
-	if f, err := os.Open(dir); err == nil {
-		_ = f.Sync()
-		_ = f.Close()
-	}
 }

@@ -108,8 +108,9 @@ func writeBundleFile(inj *faultinject.Injector, path string, tab *symtab.Table, 
 }
 
 // commitBundleFile streams the bundle into the freshly created temporary f,
-// then fsyncs, closes and renames it onto path, hitting the Checkpoint*
-// fault points between the steps. f is closed on every return.
+// then fsyncs, closes and renames it onto path and fsyncs path's directory,
+// so the rename itself survives a power loss. It hits the Checkpoint* fault
+// points between the steps. f is closed on every return.
 func commitBundleFile(inj *faultinject.Injector, f *os.File, path string, tab *symtab.Table, log *shmlog.Log) (uint64, error) {
 	part := f.Name()
 	// An armed CheckpointWrite point can shorten, fail, delay or kill any
@@ -137,10 +138,21 @@ func commitBundleFile(inj *faultinject.Injector, f *os.File, path string, tab *s
 	if err := os.Rename(part, path); err != nil {
 		return 0, fmt.Errorf("recorder: rename %s: %w", part, err)
 	}
+	SyncDir(filepath.Dir(path))
 	if err := inj.Hit(faultinject.CheckpointAfterRename); err != nil {
 		return 0, fmt.Errorf("recorder: write %s: %w", path, err)
 	}
 	return cw.n, nil
+}
+
+// SyncDir best-effort fsyncs a directory so renames into it are durable;
+// some filesystems refuse, which is not worth failing a commit over. The
+// profile history store commits its files through it too.
+func SyncDir(dir string) {
+	if f, err := os.Open(dir); err == nil {
+		_ = f.Sync()
+		_ = f.Close()
+	}
 }
 
 // countingWriter tallies bytes accepted by the wrapped writer.

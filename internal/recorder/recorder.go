@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"teeperf/internal/counter"
@@ -75,6 +76,10 @@ type Recorder struct {
 
 	rotStop chan struct{}
 	rotDone chan struct{}
+	// rotErr is the watcher's final write error, set before rotDone
+	// closes; rotatedLost counts the entries of the segments it names.
+	rotErr      error
+	rotatedLost atomic.Uint64
 
 	// Checkpointing state (checkpoint.go). ckptMu is separate from
 	// stateMu so checkpoint passes never contend with Stats sampling.
@@ -392,7 +397,9 @@ func (r *Recorder) Start() error {
 }
 
 // Stop deactivates recording and stops the counter. It is idempotent after
-// the first successful call.
+// the first successful call. When auto-rotation could not write some
+// rotated-out segment (see StartAutoRotate), Stop still finishes and then
+// returns that error.
 func (r *Recorder) Stop() error {
 	r.stateMu.Lock()
 	if !r.started {
@@ -406,7 +413,7 @@ func (r *Recorder) Stop() error {
 	r.stopped = true
 	r.duration = time.Since(r.startTime)
 	r.stateMu.Unlock()
-	r.StopAutoRotate()
+	rotErr := r.StopAutoRotate()
 	r.Log().SetActive(false)
 	if r.host {
 		r.Log().SetReady(false)
@@ -432,7 +439,7 @@ func (r *Recorder) Stop() error {
 			return fmt.Errorf("recorder: stop counter: %w", err)
 		}
 	}
-	return nil
+	return rotErr
 }
 
 // Enable resumes recording mid-run (dynamic activation, paper §II-B).
@@ -485,6 +492,10 @@ type Stats struct {
 	Masked uint64
 	// BatchSize is the probe runtime's configured reservation batch size.
 	BatchSize int
+	// RotatedLost counts the entries of rotated-out segments that
+	// auto-rotation still failed to write when it stopped: they are in no
+	// segment file.
+	RotatedLost uint64
 }
 
 // Stats returns the run summary.
@@ -532,6 +543,7 @@ func (r *Recorder) Stats() Stats {
 		SamplePeriod: period,
 		Masked:       masked,
 		BatchSize:    r.rt.Batch(),
+		RotatedLost:  r.rotatedLost.Load(),
 	}
 	if st.Capacity > 0 {
 		st.FillPercent = 100 * float64(st.Entries) / float64(st.Capacity)

@@ -112,9 +112,12 @@ func (r *Recorder) PersistSegment(log *shmlog.Log, path string) error {
 
 // StartAutoRotate launches a watcher that rotates the log whenever it
 // crosses fillThreshold (0 < t < 1, e.g. 0.9) and persists each filled
-// segment into dir as segment-NNNN.teeperf. Call StopAutoRotate (or Stop,
-// which implies it) to finish; the active segment is persisted by the
-// usual Persist call.
+// segment into dir as segment-NNNN.teeperf. A segment whose write fails
+// stays queued, holding its memory, and is retried in order on each later
+// tick and once more when the watcher stops; what still fails then is
+// counted in Stats.RotatedLost and returned by StopAutoRotate (and Stop,
+// which implies it). The active segment is persisted by the usual Persist
+// call.
 func (r *Recorder) StartAutoRotate(dir string, fillThreshold float64, checkEvery time.Duration) error {
 	if fillThreshold <= 0 || fillThreshold >= 1 {
 		return fmt.Errorf("recorder: fill threshold %f out of (0,1)", fillThreshold)
@@ -134,41 +137,77 @@ func (r *Recorder) StartAutoRotate(dir string, fillThreshold float64, checkEvery
 	return nil
 }
 
+// queuedSegment is a rotated-out segment auto-rotation has yet to write.
+type queuedSegment struct {
+	log  *shmlog.Log
+	path string
+}
+
 func (r *Recorder) autoRotate(dir string, threshold float64, every time.Duration, stop, done chan struct{}) {
 	defer close(done)
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	seq := 0
+	var queue []queuedSegment
 	for {
 		select {
 		case <-stop:
+			r.rotErr = r.persistQueued(queue)
 			return
 		case <-ticker.C:
 			log := r.Log()
-			if float64(log.Len()) < threshold*float64(log.Capacity()) {
-				continue
+			if float64(log.Len()) >= threshold*float64(log.Capacity()) {
+				// A failed rotation is retried on the next tick; the log
+				// keeps absorbing events meanwhile.
+				if prev, err := r.Rotate(); err == nil {
+					seq++
+					path := filepath.Join(dir, fmt.Sprintf("segment-%04d.teeperf", seq))
+					queue = append(queue, queuedSegment{prev, path})
+				}
 			}
-			prev, err := r.Rotate()
-			if err != nil {
-				continue // next tick retries; the log keeps absorbing events
+			// Write in rotation order; the first failure leaves it and
+			// every later segment queued for the next tick.
+			for len(queue) > 0 && r.PersistSegment(queue[0].log, queue[0].path) == nil {
+				queue[0] = queuedSegment{}
+				queue = queue[1:]
 			}
-			seq++
-			path := filepath.Join(dir, fmt.Sprintf("segment-%04d.teeperf", seq))
-			// Persistence failures leave the segment in memory only; the
-			// events already recorded are not lost to the caller, who can
-			// still reach them via the returned error-free rotation count.
-			_ = r.PersistSegment(prev, path)
 		}
 	}
 }
 
-// StopAutoRotate halts the watcher (idempotent, safe if never started).
-func (r *Recorder) StopAutoRotate() {
+// persistQueued makes the last attempt at every queued segment. The
+// entries of the segments that still fail are added to Stats.RotatedLost,
+// and the first failure is returned.
+func (r *Recorder) persistQueued(queue []queuedSegment) error {
+	var (
+		first  error
+		failed int
+	)
+	for _, q := range queue {
+		if err := r.PersistSegment(q.log, q.path); err != nil {
+			r.rotatedLost.Add(uint64(q.log.Len()))
+			failed++
+			if first == nil {
+				first = err
+			}
+		}
+	}
+	if first != nil {
+		return fmt.Errorf("recorder: auto-rotate: %d segments not written: %w", failed, first)
+	}
+	return nil
+}
+
+// StopAutoRotate halts the watcher after one last attempt at the segments
+// it could not write yet, and returns the error of that attempt
+// (idempotent, safe if never started).
+func (r *Recorder) StopAutoRotate() error {
 	if r.rotStop == nil {
-		return
+		return nil
 	}
 	close(r.rotStop)
 	<-r.rotDone
-	r.rotStop = nil
-	r.rotDone = nil
+	err := r.rotErr
+	r.rotStop, r.rotDone, r.rotErr = nil, nil, nil
+	return err
 }

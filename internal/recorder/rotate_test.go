@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"teeperf/internal/analyzer"
+	"teeperf/internal/probe"
 	"teeperf/internal/symtab"
 )
 
@@ -170,6 +171,121 @@ func TestAutoRotatePersistsSegments(t *testing.T) {
 	stat, _ := merged.Func("work")
 	if stat.Calls < 100 {
 		t.Errorf("merged complete calls = %d, want at least a few hundred", stat.Calls)
+	}
+}
+
+// recordPaced records pairs call pairs on th, pausing after each so the
+// auto-rotation watcher gets its ticks.
+func recordPaced(th *probe.Thread, fn uint64, pairs int) {
+	for i := 0; i < pairs; i++ {
+		th.Enter(fn)
+		th.Exit(fn)
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// segmentEntries sums the entries of the committed segment files in dir
+// (a .part file is a write still in progress).
+func segmentEntries(t *testing.T, dir string) (files, entries int) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "segment-*.teeperf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		_, log, err := ReadBundleFile(path)
+		if err != nil {
+			t.Fatalf("segment %s: %v", path, err)
+		}
+		entries += log.Len()
+	}
+	return len(paths), entries
+}
+
+// TestAutoRotateCountsUnwrittenSegments: rotated-out segments whose files
+// cannot be written are not silently discarded. With the rotation
+// directory gone for the whole run, Stop reports the failure and every
+// event is either in the active segment, dropped, or counted lost.
+func TestAutoRotateCountsUnwrittenSegments(t *testing.T) {
+	const pairs = 200
+	dir := filepath.Join(t.TempDir(), "segments")
+	r, _ := newTestRecorder(t, WithCapacity(64))
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.StartAutoRotate(dir, 0.5, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	recordPaced(r.Thread(), r.AddrOf("work"), pairs)
+	if err := r.Stop(); err == nil {
+		t.Fatal("Stop = nil with every rotated-out segment unwritten")
+	}
+	st := r.Stats()
+	if st.Rotations == 0 {
+		t.Fatal("no rotation happened; the scenario did not run")
+	}
+	if st.RotatedLost == 0 {
+		t.Errorf("RotatedLost = 0 after %d failed segment writes", st.Rotations)
+	}
+	if got := st.RotatedLost + uint64(st.Entries) + st.Dropped; got != 2*pairs {
+		t.Errorf("lost %d + active %d + dropped %d = %d, want %d",
+			st.RotatedLost, st.Entries, st.Dropped, got, 2*pairs)
+	}
+}
+
+// TestAutoRotateRetriesUnwrittenSegments: a segment whose write failed
+// stays queued and is written on a later tick once the directory is back,
+// so nothing is lost.
+func TestAutoRotateRetriesUnwrittenSegments(t *testing.T) {
+	const pairs = 200
+	dir := filepath.Join(t.TempDir(), "segments")
+	r, _ := newTestRecorder(t, WithCapacity(64))
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.StartAutoRotate(dir, 0.5, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	th, fn := r.Thread(), r.AddrOf("work")
+	recordPaced(th, fn, pairs/2)
+	rotated := r.Segments()
+	if rotated == 0 {
+		t.Fatal("no rotation happened while the directory was gone")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// The queued segments go out on the watcher's next ticks, before Stop.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if files, _ := segmentEntries(t, dir); files >= rotated {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queued segments not written within 5s of the directory's return")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	recordPaced(th, fn, pairs/2)
+	if err := r.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	if st.RotatedLost != 0 {
+		t.Errorf("RotatedLost = %d, want 0", st.RotatedLost)
+	}
+	files, written := segmentEntries(t, dir)
+	if files != st.Rotations {
+		t.Errorf("%d segment files for %d rotations", files, st.Rotations)
+	}
+	if got := uint64(written+st.Entries) + st.Dropped; got != 2*pairs {
+		t.Errorf("written %d + active %d + dropped %d = %d, want %d",
+			written, st.Entries, st.Dropped, got, 2*pairs)
 	}
 }
 

@@ -141,8 +141,9 @@ func OpenFile(path string) (*Log, error) {
 // multi-attach path for passive observers (the fleet agent): any number of
 // observer mappings can coexist with the hosting recorder and the
 // instrumented application without either noticing, because an observer
-// never stores to the shared region — cursors, header accessors and stats
-// are all atomic loads. Mutating a log returned by ObserveFile (SetPID,
+// never stores to the shared region — header accessors and stats are
+// atomic loads, and cursors read slot words behind the commit marker.
+// Mutating a log returned by ObserveFile (SetPID,
 // Append, ...) faults; ReadOnly reports the restriction.
 func ObserveFile(path string) (*Log, error) {
 	return openMapped(path, os.O_RDONLY, syscall.PROT_READ)

@@ -2,8 +2,12 @@ package shmlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -208,4 +212,216 @@ func TestLiveReadsNeverTear(t *testing.T) {
 			return true
 		})
 	})
+}
+
+// TestConcurrentReadersSeeCommittedOrZeroWords: Commit publishes the
+// plainly stored counter and address words with the marker store, so every
+// reader must take them only behind a real thread ID. One writer commits
+// and releases slots in batches while WriteTo, Entry and a Cursor read the
+// live log, and a rotation reserves a straggler slot, seals the log and
+// persists it before and after the straggler commits. Every committed slot
+// must read back exact; every in-flight slot must persist as three zero
+// words and every released slot as zero words under TombstoneTID.
+func TestConcurrentReadersSeeCommittedOrZeroWords(t *testing.T) {
+	const (
+		slots = 1 << 12
+		batch = 8
+	)
+	// wantSlot is what slot i holds once its owner is done with it.
+	wantSlot := func(i uint64) (w0, w1, tid uint64) {
+		if i%7 == 6 {
+			return 0, 0, TombstoneTID
+		}
+		w0 = i + 1
+		if i%2 == 1 {
+			w0 |= kindBit
+		}
+		return w0, 0x1000 + i*16, 1 + i%3
+	}
+	finish := func(l *Log, slot uint64) {
+		w0, w1, tid := wantSlot(slot)
+		if tid == TombstoneTID {
+			l.Release(slot)
+			return
+		}
+		l.Commit(slot, decodeWords(w0, w1, tid))
+	}
+	// checkWords reports a slot that is neither in flight (all zero) nor
+	// exactly what its owner stored.
+	checkWords := func(slot, w0, w1, tid uint64) error {
+		if tid == 0 && w0 == 0 && w1 == 0 {
+			return nil
+		}
+		if ww0, ww1, wtid := wantSlot(slot); w0 != ww0 || w1 != ww1 || tid != wtid {
+			return fmt.Errorf("slot %d = (%#x, %#x, %#x), want (%#x, %#x, %#x) or zero words",
+				slot, w0, w1, tid, ww0, ww1, wtid)
+		}
+		return nil
+	}
+	// checkPersisted checks every slot of a single-segment encoding.
+	checkPersisted := func(b []byte) error {
+		body := b[HeaderSize+SegHeaderSize:]
+		for i := 0; i < len(body)/EntrySize; i++ {
+			w := body[i*EntrySize:]
+			if err := checkWords(uint64(i), binary.LittleEndian.Uint64(w),
+				binary.LittleEndian.Uint64(w[8:]), binary.LittleEndian.Uint64(w[16:])); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	wordsOf := func(e Entry) (w0, w1, tid uint64) {
+		w0 = e.Counter
+		if e.Kind == KindReturn {
+			w0 |= kindBit
+		}
+		return w0, e.Addr, e.ThreadID
+	}
+
+	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); {
+		l, err := New(slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var failed atomic.Bool
+		fail := func(format string, args ...any) {
+			failed.Store(true)
+			t.Errorf(format, args...)
+		}
+		done := make(chan struct{})
+		var writer, readers sync.WaitGroup
+		writer.Add(1)
+		go func() {
+			defer writer.Done()
+			for {
+				start, n := l.Reserve(batch)
+				if n == 0 {
+					return
+				}
+				for slot := start; slot < start+uint64(n); slot++ {
+					finish(l, slot)
+				}
+			}
+		}()
+
+		readers.Add(3)
+		go func() { // WriteTo
+			defer readers.Done()
+			var buf bytes.Buffer
+			for !failed.Load() {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				buf.Reset()
+				if _, err := l.WriteTo(&buf); err != nil {
+					fail("WriteTo: %v", err)
+					return
+				}
+				if err := checkPersisted(buf.Bytes()); err != nil {
+					fail("live WriteTo: %v", err)
+				}
+			}
+		}()
+		go func() { // Entry at the frontier
+			defer readers.Done()
+			for !failed.Load() {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for i := max(l.Len()-batch, 0); i < l.Len(); i++ {
+					e, err := l.Entry(i)
+					if err != nil {
+						fail("Entry(%d): %v", i, err)
+						return
+					}
+					w0, w1, tid := wordsOf(e)
+					if err := checkWords(uint64(i), w0, w1, tid); err != nil {
+						fail("Entry: %v", err)
+					}
+				}
+			}
+		}()
+		emitted := 0
+		cur := l.Cursor()
+		drain := func() {
+			for _, e := range cur.Next(nil) {
+				emitted++
+				slot := e.Counter - 1
+				w0, w1, tid := wordsOf(e)
+				if ww0, ww1, wtid := wantSlot(slot); tid == TombstoneTID || w0 != ww0 || w1 != ww1 || tid != wtid {
+					fail("cursor emitted slot %d = (%#x, %#x, %#x), want (%#x, %#x, %#x)",
+						slot, w0, w1, tid, ww0, ww1, wtid)
+				}
+			}
+		}
+		go func() { // Cursor
+			defer readers.Done()
+			for !failed.Load() {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				drain()
+			}
+		}()
+
+		// Rotation: once the writer is under way, reserve a straggler slot,
+		// seal, and persist around the straggler's commit.
+		for l.Len() < slots/2 {
+			runtime.Gosched()
+		}
+		straggler, n := l.Reserve(1)
+		l.Seal()
+		var seg bytes.Buffer
+		if _, err := l.WriteTo(&seg); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkPersisted(seg.Bytes()); err != nil {
+			fail("sealed segment: %v", err)
+		}
+		if n == 1 {
+			w := seg.Bytes()[HeaderSize+SegHeaderSize+int(straggler)*EntrySize:]
+			if !bytes.Equal(w[:EntrySize], make([]byte, EntrySize)) {
+				fail("straggler slot %d persisted before its commit as %x, want zero words", straggler, w[:EntrySize])
+			}
+			finish(l, straggler)
+		}
+		writer.Wait()
+		close(done)
+		readers.Wait()
+
+		seg.Reset()
+		if _, err := l.WriteTo(&seg); err != nil {
+			t.Fatal(err)
+		}
+		body := seg.Bytes()[HeaderSize+SegHeaderSize:]
+		if len(body) != l.Len()*EntrySize {
+			t.Fatalf("sealed segment persisted %d bytes, want %d", len(body), l.Len()*EntrySize)
+		}
+		for i := 0; i < l.Len(); i++ {
+			w := body[i*EntrySize:]
+			got := [3]uint64{binary.LittleEndian.Uint64(w), binary.LittleEndian.Uint64(w[8:]), binary.LittleEndian.Uint64(w[16:])}
+			if ww0, ww1, wtid := wantSlot(uint64(i)); got != [3]uint64{ww0, ww1, wtid} {
+				fail("settled slot %d persisted as %#x, want (%#x, %#x, %#x)", i, got, ww0, ww1, wtid)
+			}
+		}
+		drain()
+		committed := 0
+		for _, e := range l.Entries() {
+			if e.ThreadID != TombstoneTID {
+				committed++
+			}
+		}
+		if emitted != committed || cur.Pending() != 0 {
+			fail("cursor emitted %d entries with %d pending, want %d and 0", emitted, cur.Pending(), committed)
+		}
+		if failed.Load() {
+			return
+		}
+	}
 }

@@ -1004,19 +1004,23 @@ func (l *Log) Seal() {
 
 // Commit writes e into a reserved slot the caller owns exclusively.
 // Counter values are truncated to 63 bits; bit 63 carries the kind. The
-// thread-ID word is stored atomically last and doubles as the commit
-// marker: thread IDs are never zero (the probe runtime assigns IDs starting
-// at 1), so a concurrent tailing reader that observes a non-zero,
-// non-tombstone thread ID is guaranteed to see the final counter and
-// address words too.
+// counter and address words are plain stores; the thread-ID word is stored
+// atomically last and publishes them as the commit marker. Thread IDs are
+// never zero (the probe runtime assigns IDs starting at 1), so a reader
+// that loads a non-zero, non-tombstone marker sees the final counter and
+// address words: the Go memory model orders them within the process, and
+// the release store (XCHG on amd64, STLR on arm64) across processes.
+// Readers take the two words only behind such a marker (slotWords); an
+// entry committed with ThreadID 0 is never published and reads as zero
+// words.
 func (l *Log) Commit(slot uint64, e Entry) {
 	base := l.slotWordIdx(slot)
 	word0 := e.Counter & counterMask
 	if e.Kind == KindReturn {
 		word0 |= kindBit
 	}
-	atomic.StoreUint64(&l.words[base], word0)
-	atomic.StoreUint64(&l.words[base+1], e.Addr)
+	l.words[base] = word0
+	l.words[base+1] = e.Addr
 	atomic.StoreUint64(&l.words[base+2], e.ThreadID)
 }
 
@@ -1083,11 +1087,12 @@ func (l *Log) readerSlot(i int) (base int, ok bool) {
 	return 0, false
 }
 
-// Entry decodes the raw entry at reader index i (segment-major over the
+// Entry decodes the entry at reader index i (segment-major over the
 // reserved slots; identical to slot order on a single-segment log). Under
 // batched writers a reserved slot may be in flight (ThreadID 0) or released
-// (ThreadID TombstoneTID); Entry returns those raw words and the caller
-// dismisses them (as Entries and the analyzer do).
+// (ThreadID TombstoneTID); Entry returns such a slot with zero counter and
+// address words and the caller dismisses it (as Entries and the analyzer
+// do).
 func (l *Log) Entry(i int) (Entry, error) {
 	if i < 0 {
 		return Entry{}, fmt.Errorf("%w: %d (len %d)", ErrRange, i, l.Len())
@@ -1096,21 +1101,30 @@ func (l *Log) Entry(i int) (Entry, error) {
 	if !ok {
 		return Entry{}, fmt.Errorf("%w: %d (len %d)", ErrRange, i, l.Len())
 	}
-	// The commit marker is loaded first (as Cursor.decode does): a slot
-	// that commits after this load reads as in flight, never as a real
-	// thread ID paired with the slot's old counter and address.
-	tid := atomic.LoadUint64(&l.words[base+2])
-	word0 := atomic.LoadUint64(&l.words[base])
-	e := Entry{
-		Kind:     KindCall,
-		Counter:  word0 & counterMask,
-		Addr:     atomic.LoadUint64(&l.words[base+1]),
-		ThreadID: tid,
+	word0, addr, tid := l.slotWords(base)
+	return decodeWords(word0, addr, tid), nil
+}
+
+// slotWords loads the slot at word index base marker first. Commit stores
+// the counter and address words plainly and publishes them with the
+// marker, so they are read only behind a real thread ID: an in-flight
+// (zero) or released (TombstoneTID) slot reads as zero words instead of
+// racing its writer.
+func (l *Log) slotWords(base int) (word0, addr, tid uint64) {
+	tid = atomic.LoadUint64(&l.words[base+2])
+	if tid == 0 || tid == TombstoneTID {
+		return 0, 0, tid
 	}
+	return l.words[base], l.words[base+1], tid
+}
+
+// decodeWords decodes one slot's raw words.
+func decodeWords(word0, addr, tid uint64) Entry {
+	e := Entry{Kind: KindCall, Counter: word0 & counterMask, Addr: addr, ThreadID: tid}
 	if word0&kindBit != 0 {
 		e.Kind = KindReturn
 	}
-	return e, nil
+	return e
 }
 
 // Entries decodes all committed entries in reader order, dismissing
@@ -1136,10 +1150,13 @@ func (l *Log) Entries() []Entry {
 }
 
 // Reset clears every segment tail, seal and drop counter plus the shared
-// counter, keeping configuration (capacity, shards, pid, flags) intact. Not
-// safe to call concurrently with Append, Reserve or a live Cursor; batched
-// writers must Flush (releasing their blocks) before a Reset, or their
-// stale blocks would commit into the recycled region.
+// counter, keeping configuration (capacity, shards, pid, flags) intact. It
+// leaves the slots' words as they are, so it must not overlap readers or
+// writers: a reader still reading, or one that reads while writers refill
+// the recycled slots, would take a stale marker for a commit and read the
+// counter and address words a writer is storing plainly. Batched writers
+// must Flush (releasing their blocks) before a Reset, or their stale blocks
+// would commit into the recycled region.
 func (l *Log) Reset() {
 	for s := 0; s < l.shards; s++ {
 		h := l.segHeaderIdx(s)
@@ -1173,7 +1190,10 @@ func (l *Log) WriteTo(w io.Writer) (int64, error) {
 
 // encodeTo streams the v3 encoding into w in 4 KiB chunks. The per-segment
 // reserved lengths are snapshotted once up front so the header totals and
-// the segment bodies agree even if writers are still appending.
+// the segment bodies agree even if writers are still appending. Each slot
+// is read through slotWords, so a slot still in flight (a straggler of a
+// sealed segment, or a live writer overtaken by the sweep) persists as
+// three zero words and a released one as zero words under TombstoneTID.
 func (l *Log) encodeTo(w io.Writer) error {
 	segLens := make([]int, l.shards)
 	total := 0
@@ -1239,9 +1259,6 @@ func (l *Log) encodeTo(w io.Writer) error {
 				return err
 			}
 		}
-		// Each slot's commit marker is loaded before its counter and
-		// address words, as in Entry, so a slot committing mid-encode
-		// persists as in flight rather than torn.
 		const slotBytes = EntryWords * 8
 		for base := l.segEntryIdx(s, 0); n > 0; n-- {
 			if off+slotBytes > len(buf) {
@@ -1249,9 +1266,9 @@ func (l *Log) encodeTo(w io.Writer) error {
 					return err
 				}
 			}
-			tid := atomic.LoadUint64(&l.words[base+2])
-			binary.LittleEndian.PutUint64(buf[off:], atomic.LoadUint64(&l.words[base]))
-			binary.LittleEndian.PutUint64(buf[off+8:], atomic.LoadUint64(&l.words[base+1]))
+			word0, addr, tid := l.slotWords(base)
+			binary.LittleEndian.PutUint64(buf[off:], word0)
+			binary.LittleEndian.PutUint64(buf[off+8:], addr)
 			binary.LittleEndian.PutUint64(buf[off+16:], tid)
 			off += slotBytes
 			base += EntryWords
@@ -1277,7 +1294,7 @@ type rawSlot struct {
 // nondecreasing counters in slot order, so the merged stream preserves
 // per-thread order — analyzer output over it is byte-identical to a
 // single-segment recording. Slots that never committed (zero or tombstone
-// markers, counter word 0 or stale) ride along and are dismissed by readers
+// markers) ride along and are dismissed by readers
 // exactly as in a single-segment log. A single segment is already in slot
 // order and is written as it is.
 func buildDecoded(slots []rawSlot, merge bool, pid, profilerAddr, flags, counter, samplePeriod uint64) *Log {
@@ -1576,26 +1593,8 @@ func (c *Cursor) nextSeg(s int, dst []Entry) []Entry {
 		sort.Ints(committed)
 	}
 	for _, i := range committed {
-		tid := atomic.LoadUint64(&c.log.words[c.log.segEntryIdx(s, i)+2])
-		dst = append(dst, c.decode(s, i, tid))
+		dst = append(dst, decodeWords(c.log.slotWords(c.log.segEntryIdx(s, i))))
 	}
 	c.scratch = committed[:0]
 	return dst
-}
-
-// decode reads the committed entry at local slot i of segment s; tid is the
-// already-loaded commit marker.
-func (c *Cursor) decode(s, i int, tid uint64) Entry {
-	base := c.log.segEntryIdx(s, i)
-	word0 := atomic.LoadUint64(&c.log.words[base])
-	e := Entry{
-		Kind:     KindCall,
-		Counter:  word0 & counterMask,
-		Addr:     atomic.LoadUint64(&c.log.words[base+1]),
-		ThreadID: tid,
-	}
-	if word0&kindBit != 0 {
-		e.Kind = KindReturn
-	}
-	return e
 }

@@ -376,6 +376,11 @@ func TestRoundTripPersistence(t *testing.T) {
 		if err := l.Append(e); err != nil {
 			t.Fatal(err)
 		}
+		if e.ThreadID == 0 {
+			// Zero is the in-flight marker: Commit never publishes the
+			// slot's words, so it persists and decodes as zero words.
+			e = Entry{Kind: KindCall}
+		}
 		want = append(want, e)
 	}
 	l.AddCounter(12345)

@@ -44,8 +44,10 @@ guard_cpus() {
 
 if wants shmlog; then
     guard_cpus BENCH_shmlog.json
+    # Five repeats: benchjson folds them into one row of medians, so the
+    # probe-pair and append rows are not single draws.
     go test -run='^$' -bench="$(bench_pattern "${SHMLOG_BENCHES[@]}")" \
-        -benchtime="$benchtime" -count=1 . |
+        -benchtime="$benchtime" -count=5 . |
         tee /dev/stderr |
         go run ./scripts/benchjson "${meta[@]}" >BENCH_shmlog.json
     echo "wrote BENCH_shmlog.json (${ncpu} CPUs)" >&2
