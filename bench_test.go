@@ -504,17 +504,30 @@ func BenchmarkRecorderSession(b *testing.B) {
 
 // --- Hot-path suite: batched reservation and bulk log I/O ---
 
+// appendSlotBudget bounds the log of one benchAppendParallel round (48 MiB
+// of entries). Sized for b.N instead, the s32 rows would allocate 32 slots
+// per event — gigabytes at ordinary benchtimes.
+const appendSlotBudget = 1 << 21
+
 // benchAppendParallel records b.N probe events spread over a fixed number
 // of goroutines, each with its own thread handle, reserving log slots in
 // blocks of k in a log split into s per-thread tail shards. ns/op is
-// therefore ns per event; the byte rate is event payload throughput.
+// therefore ns per event; the byte rate is event payload throughput. The
+// events are recorded in rounds that each fit a log of at most
+// appendSlotBudget slots; between rounds, with the timer stopped, the
+// threads release their blocks and the log is reset.
 func benchAppendParallel(b *testing.B, goroutines, batch, shards int) {
+	counts := make([]int, goroutines)
+	for i := 0; i < goroutines; i++ {
+		counts[i] = b.N / goroutines
+	}
+	counts[0] += b.N % goroutines
 	// Sized so the fullest shard fits every thread that hashes onto it:
 	// at most ceil(g/s) threads per shard, each reserving at most its
-	// share of b.N plus one partial batch.
-	perThread := b.N/goroutines + b.N%goroutines + batch + 1
+	// round share plus one partial batch.
 	threadsPerShard := (goroutines + shards - 1) / shards
-	log, err := shmlog.New(shards*threadsPerShard*perThread, shmlog.WithShards(shards))
+	round := min(counts[0], appendSlotBudget/(shards*threadsPerShard)-batch-1)
+	log, err := shmlog.New(shards*threadsPerShard*(round+batch+1), shmlog.WithShards(shards))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -526,25 +539,28 @@ func benchAppendParallel(b *testing.B, goroutines, batch, shards int) {
 	for i := range threads {
 		threads[i] = rt.Thread()
 	}
-	counts := make([]int, goroutines)
-	for i := 0; i < goroutines; i++ {
-		counts[i] = b.N / goroutines
-	}
-	counts[0] += b.N % goroutines
 
 	b.SetBytes(shmlog.EntrySize)
 	b.ResetTimer()
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(th *probe.Thread, n int) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				th.Enter(0x400100)
-			}
-		}(threads[g], counts[g])
+	for done := 0; done < counts[0]; done += round {
+		if done > 0 {
+			b.StopTimer()
+			rt.Flush()
+			log.Reset()
+			b.StartTimer()
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(th *probe.Thread, n int) {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					th.Enter(0x400100)
+				}
+			}(threads[g], min(counts[g]-done, round))
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	b.StopTimer()
 	rt.Flush()
 	if dropped := rt.Dropped(); dropped != 0 {
@@ -575,9 +591,12 @@ func BenchmarkAppendParallel(b *testing.B) {
 // Period 0 runs the same pairs against an inactive log: every probe returns
 // at the activation flag and nothing is recorded, so the log needs no room.
 func benchAppendSampled(b *testing.B, goroutines int, period uint64) {
-	capacity := goroutines*2*(b.N/goroutines+b.N%goroutines+2) + 64
-	if period == 0 {
-		capacity = 64
+	// Sampling is deterministic — a thread records the call at tick t when
+	// t%period == 0 — so a thread making n pairs records ceil(n/period).
+	perThread := uint64(b.N/goroutines + b.N%goroutines)
+	capacity := 64
+	if period != 0 {
+		capacity += goroutines * 2 * int((perThread+period-1)/period+2)
 	}
 	log, err := shmlog.New(capacity, shmlog.WithSamplePeriod(max(period, 1)))
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"teeperf/internal/agent"
 	"teeperf/internal/monitor"
 	"teeperf/internal/recorder"
 	"teeperf/internal/symtab"
@@ -127,9 +128,10 @@ loop:
 	return werr
 }
 
-// cmdServe records a workload while exposing the live monitor over HTTP:
-// /metrics (Prometheus), /vars (JSON), /profile.json, /history.json and an
-// auto-refreshing HTML page at /.
+// cmdServe records a workload while serving it live over HTTP: the
+// recorder is hosted as one agent session named after the workload, so
+// /metrics, /vars, /sessions, /profile.json?session=, /trace?session= and
+// the HTML page at / are the fleet agent's endpoints.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var lf liveFlags
@@ -145,9 +147,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv, err := monitor.ServeRecorder(rec, *addr,
-		monitor.WithInterval(lf.interval),
-		monitor.WithSessionLabel(lf.workload))
+	srv, mon, err := serveRecorder(rec, lf.workload, lf.interval, *addr)
 	if err != nil {
 		_ = rec.Stop()
 		return err
@@ -167,13 +167,23 @@ func cmdServe(args []string) error {
 		fmt.Printf("workload finished; serving for another %v\n", *linger)
 		time.Sleep(*linger)
 	}
-	srv.Monitor().Stop()
 	fmt.Println("final profile:")
-	if err := srv.Monitor().WriteTop(os.Stdout, 10); err != nil {
+	if err := mon.WriteTop(os.Stdout, 10); err != nil {
 		return err
 	}
 	printStatsSummary(rec.Stats())
 	return werr
+}
+
+// serveRecorder hosts a monitor over rec as the agent session name and
+// serves the agent's HTTP plane on addr, scraping every interval (0 takes
+// the agent's default). Closing the server stops the scrape loop.
+func serveRecorder(rec *recorder.Recorder, name string, interval time.Duration, addr string) (*agent.Server, *monitor.Monitor, error) {
+	mon := monitor.New(rec)
+	a := agent.New(agent.Config{Interval: interval})
+	a.Host(name, mon)
+	srv, err := agent.Serve(a, addr)
+	return srv, mon, err
 }
 
 // stdoutIsTerminal reports whether stdout is an interactive terminal (in

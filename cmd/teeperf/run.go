@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"time"
 
-	"teeperf/internal/monitor"
 	"teeperf/internal/recorder"
 	"teeperf/internal/shmlog"
 )
@@ -63,13 +62,17 @@ func cmdRun(args []string) error {
 	if err := rec.Start(); err != nil {
 		return err
 	}
+	// The agent's scrape loop reads the mapping, so serving stops before
+	// the mapping is unmapped below.
+	stopServing := func() {}
 	if *addr != "" {
-		srv, err := monitor.ServeRecorder(rec, *addr)
+		srv, _, err := serveRecorder(rec, "main", 0, *addr)
 		if err != nil {
 			_ = rec.Stop()
 			return err
 		}
-		defer srv.Close()
+		stopServing = func() { _ = srv.Close() }
+		defer stopServing()
 		fmt.Fprintf(os.Stderr, "live monitor on http://%s/\n", srv.Addr())
 	}
 	if *checkpoint > 0 {
@@ -114,6 +117,7 @@ func cmdRun(args []string) error {
 	fmt.Printf("recorded %d events (%d dropped) in %v; wrote %s\n",
 		st.Entries, st.Dropped, st.Duration.Round(1e6), *output)
 	printStatsSummary(st)
+	stopServing()
 
 	if !*keepShm {
 		if err := rec.Log().Close(); err != nil {

@@ -11,7 +11,6 @@ import (
 
 	"teeperf/internal/monitor"
 	"teeperf/internal/profilestore"
-	"teeperf/internal/shmlog"
 )
 
 // Config parameterizes an Agent.
@@ -111,13 +110,32 @@ func (a *Agent) Register(path string) string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if s, ok := a.sessions[name]; ok {
-		if s.Path() != path {
+		// A hosted session keeps its name: a mapping that happens to share
+		// it is not observed.
+		if s.mon == nil && s.Path() != path {
 			s.remap(a.cycle, path)
 		}
 		return name
 	}
 	a.sessions[name] = newSession(name, path)
 	return name
+}
+
+// Host adds a session whose source is m, a monitor over a recorder in this
+// process, rather than an observer mapping. The session is live from the
+// start and never dies, salvages or throttles; each scrape advances m's
+// rate window, so m must not also be Started. Hosting an existing name
+// replaces that session.
+func (a *Agent) Host(name string, m *monitor.Monitor) {
+	s := newSession(name, "")
+	s.mon = m
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if old := a.sessions[name]; old != nil {
+		old.close()
+	}
+	s.setStateLocked(a.cycle, StateLive, "hosted in-process recorder")
+	a.sessions[name] = s
 }
 
 // Session returns the named session, or nil.
@@ -279,38 +297,11 @@ func (a *Agent) Metrics() []monitor.Metric {
 
 	for _, s := range list {
 		s.mu.Lock()
-		info := s.snapshotLocked()
+		info, series := s.exportLocked()
 		state := s.state
-		var ticks, period, masked, batch uint64
-		var open int
-		var segs []shmlog.SegmentStat
-		if s.log != nil {
-			ticks = s.log.LoadCounter()
-			segs = s.log.SegmentStats()
-			period = s.log.SamplePeriod()
-			masked = s.log.Masked()
-			// The header holds 0 unless a probe set a batch above the
-			// default of 1 (see probe.WithBatch).
-			batch = max(s.log.BatchSize(), 1)
-		}
-		if s.inc != nil {
-			open = s.inc.OpenFrames()
-		}
 		s.mu.Unlock()
+		out = append(out, series...)
 
-		sample := monitor.Sample{
-			Entries:       info.Entries,
-			Dropped:       info.Dropped,
-			CounterTicks:  ticks,
-			FillPercent:   info.FillPct,
-			Capacity:      info.Capacity,
-			EntriesPerSec: info.Rate,
-			SamplePeriod:  period,
-			Masked:        masked,
-			BatchSize:     int(batch),
-			Shards:        monitor.ShardSamples(segs),
-		}
-		out = append(out, monitor.SessionMetrics(info.Name, sample, open, info.Functions)...)
 		lbl := monitor.SessionLabel(info.Name)
 		for _, st := range States {
 			v := 0.0

@@ -21,6 +21,13 @@
 // rests in salvaged with its recovery report attached. A session may also
 // re-register (same name, new file): the agent re-maps it and the attach
 // generation gauge moves.
+//
+// A hosted session (Agent.Host) is the in-process exception: its source is
+// a monitor.Monitor tailing a recorder in the agent's own process, so it
+// has no file to map, salvage or throttle. It starts live and stays live;
+// each scrape advances the monitor's rate window. `teeperf serve`,
+// `teeperf run -addr` and the facade's ServeMonitor all serve their
+// recorder this way, through the same HTTP plane as the fleet.
 package agent
 
 import (
@@ -30,6 +37,7 @@ import (
 	"time"
 
 	"teeperf/internal/analyzer"
+	"teeperf/internal/monitor"
 	"teeperf/internal/recorder"
 	"teeperf/internal/shmlog"
 	"teeperf/internal/symtab"
@@ -90,6 +98,7 @@ type Session struct {
 
 	name string
 	path string
+	mon  *monitor.Monitor // set for hosted sessions, which have no path
 
 	state State
 	log   *shmlog.Log // nil while discovered
@@ -138,7 +147,7 @@ func newSession(name, path string) *Session {
 // Name returns the session's registry key (spool basename minus ".shm").
 func (s *Session) Name() string { return s.name }
 
-// Path returns the observed mapping path.
+// Path returns the observed mapping path ("" for a hosted session).
 func (s *Session) Path() string { return s.path }
 
 // State returns the current lifecycle state.
@@ -179,6 +188,9 @@ func (s *Session) Snapshot() Info {
 }
 
 func (s *Session) snapshotLocked() Info {
+	if s.mon != nil {
+		return s.hostedInfo(s.mon.Snapshot(0))
+	}
 	info := Info{
 		Name:      s.name,
 		Path:      s.path,
@@ -225,11 +237,15 @@ func (s *Session) Trace() []TraceEvent {
 	return out
 }
 
-// Table drains nothing (the scrape loop owns the cursor) and returns the
-// live hot-methods table as of the last scrape.
+// Table returns the live hot-methods table: as of the last scrape for an
+// observed mapping (the scrape loop owns the cursor), freshly polled for a
+// hosted monitor.
 func (s *Session) Table(top int) analyzer.LiveTable {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.mon != nil {
+		return s.mon.Table(top)
+	}
 	if s.inc == nil {
 		return analyzer.LiveTable{}
 	}
@@ -262,6 +278,17 @@ func (s *Session) setStateLocked(cycle uint64, next State, why string) {
 func (s *Session) scrape(cycle uint64, cfg Config, now time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+
+	if s.mon != nil {
+		// Hosted: the monitor drains the recorder's segments itself; the
+		// scrape closes its rate window. No liveness, salvage or
+		// back-pressure applies to the agent's own process.
+		smp := s.mon.Advance()
+		drained := int(smp.Entries - s.entries)
+		s.entries = smp.Entries
+		s.scrapes++
+		return drained
+	}
 
 	switch s.state {
 	case StateSalvaged:
@@ -335,6 +362,61 @@ func (s *Session) scrape(cycle uint64, cfg Config, now time.Time) int {
 		s.overBudget = 0
 	}
 	return drained
+}
+
+// hostedInfo is a hosted session's accounting from one monitor poll.
+func (s *Session) hostedInfo(smp monitor.Sample, t analyzer.LiveTable) Info {
+	return Info{
+		Name:      s.name,
+		State:     s.state.String(),
+		Entries:   smp.Entries,
+		Dropped:   smp.Dropped,
+		Capacity:  smp.Capacity,
+		FillPct:   smp.FillPercent,
+		AppPID:    s.mon.Recorder().Log().PID(),
+		Scrapes:   s.scrapes,
+		Rate:      smp.EntriesPerSec,
+		Functions: len(t.Funcs),
+	}
+}
+
+// exportLocked snapshots the session's accounting and builds its series
+// under the single-session schema (monitor.SessionMetrics) from that same
+// snapshot. A hosted session is read with one fresh monitor poll and adds
+// the checkpoint gauges once its recorder has checkpointing configured;
+// before that they would be meaningless zeros.
+func (s *Session) exportLocked() (Info, []monitor.Metric) {
+	if s.mon != nil {
+		smp, t := s.mon.Snapshot(0)
+		info := s.hostedInfo(smp, t)
+		out := monitor.SessionMetrics(s.name, smp, t.OpenFrames, len(t.Funcs))
+		if cs := s.mon.Recorder().CheckpointStats(); cs.Configured {
+			out = append(out, monitor.CheckpointMetrics(s.name, cs, time.Now())...)
+		}
+		return info, out
+	}
+	info := s.snapshotLocked()
+	sample := monitor.Sample{
+		Entries:       info.Entries,
+		Dropped:       info.Dropped,
+		FillPercent:   info.FillPct,
+		Capacity:      info.Capacity,
+		EntriesPerSec: info.Rate,
+	}
+	open := 0
+	if s.log != nil {
+		sample.CounterTicks = s.log.LoadCounter()
+		sample.Shards = monitor.ShardSamples(s.log.SegmentStats())
+		sample.SamplePeriod = s.log.SamplePeriod()
+		sample.Masked = s.log.Masked()
+		// The header holds 0 unless a probe set a batch above the default
+		// of 1 (see probe.WithBatch).
+		sample.BatchSize = int(max(s.log.BatchSize(), 1))
+	}
+	if s.inc != nil {
+		open = s.inc.OpenFrames()
+	}
+	return info, monitor.SessionMetrics(info.Name, sample, open, info.Functions)
 }
 
 // throttleLocked pushes a sampling period into the session's shared header.

@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
+
+	"teeperf/internal/recorder"
 )
 
 // Metric is one exported Prometheus series: a metric name with metadata,
-// an optional ordered label set, and the sample value. The single-session
-// monitor and the fleet agent share this type (and WriteMetrics) so both
-// expose the same metric schema — the fleet view is the single-session
-// view plus more `session` label values and rollups, never a parallel
-// namespace of diverging names.
+// an optional ordered label set, and the sample value. Every session the
+// fleet agent serves — observed mappings and hosted in-process monitors
+// alike — reports through this type and SessionMetrics, so there is one
+// metric schema: sessions differ only in their `session` label value.
 type Metric struct {
 	Name, Help, Kind string
 	Labels           []Label
@@ -67,5 +69,66 @@ func WriteMetrics(w io.Writer, metrics []Metric) {
 		for _, m := range g {
 			fmt.Fprintf(w, "%s %g\n", m.Series(), m.Value)
 		}
+	}
+}
+
+// normPeriod maps the header's 0 ("unset") to the effective period 1, so
+// the gauge always reports the weight actually applied to entries.
+func normPeriod(p uint64) uint64 {
+	if p == 0 {
+		return 1
+	}
+	return p
+}
+
+// SessionMetrics builds the canonical per-session metric list from one
+// sample — the schema every agent session (observed mapping or hosted
+// monitor) exports, distinguished only by the `session` label value.
+func SessionMetrics(session string, s Sample, openFrames, funcs int) []Metric {
+	lbl := SessionLabel(session)
+	out := []Metric{
+		{"teeperf_entries_committed_total", "Committed log entries observed across all segments.", "counter", lbl, float64(s.Entries)},
+		{"teeperf_entries_dropped_total", "Probe events lost to log overflow.", "counter", lbl, float64(s.Dropped)},
+		{"teeperf_counter_ticks_total", "Software/TSC counter value.", "counter", lbl, float64(s.CounterTicks)},
+		{"teeperf_log_fill_percent", "Active log segment fill level (0-100).", "gauge", lbl, s.FillPercent},
+		{"teeperf_log_capacity_entries", "Active log segment capacity.", "gauge", lbl, float64(s.Capacity)},
+		{"teeperf_log_rotations_total", "Completed log segment rotations.", "counter", lbl, float64(s.Rotations)},
+		{"teeperf_entries_per_second", "Entry commit rate over the last sample window.", "gauge", lbl, s.EntriesPerSec},
+		{"teeperf_counter_ticks_per_second", "Counter tick rate over the last sample window.", "gauge", lbl, s.TicksPerSec},
+		{"teeperf_drops_per_second", "Drop rate over the last sample window.", "gauge", lbl, s.DropsPerSec},
+		{"teeperf_run_duration_seconds", "Wall-clock run duration.", "gauge", lbl, s.Elapsed.Seconds()},
+		{"teeperf_open_frames", "Calls currently in flight (entered, not yet returned).", "gauge", lbl, float64(openFrames)},
+		{"teeperf_profile_functions", "Distinct functions in the live profile.", "gauge", lbl, float64(funcs)},
+		{"teeperf_probe_sample_period", "Probe sampling period (1 = every call pair recorded).", "gauge", lbl, float64(normPeriod(s.SamplePeriod))},
+		{"teeperf_probe_batch_size", "Per-thread slot reservation batch size.", "gauge", lbl, float64(s.BatchSize)},
+		{"teeperf_probe_masked_total", "Probe events suppressed by sampling or deny masks.", "counter", lbl, float64(s.Masked)},
+	}
+	// Sharded logs additionally break fill and drops down per shard, so a
+	// skewed thread distribution (one shard saturated, the rest idle) is
+	// visible where the aggregate gauges would hide it.
+	for i, sh := range s.Shards {
+		slbl := append(SessionLabel(session), Label{Key: "shard", Value: fmt.Sprintf("%d", i)})
+		out = append(out,
+			Metric{"teeperf_shard_fill_percent", "Per-shard log segment fill level (0-100).", "gauge", slbl, sh.FillPercent},
+			Metric{"teeperf_shard_dropped_total", "Probe events lost to overflow of this shard's segment.", "counter", slbl, float64(sh.Dropped)},
+		)
+	}
+	return out
+}
+
+// CheckpointMetrics builds the per-session checkpoint gauges from the
+// recorder's CheckpointStats — the crash-consistency health signals. Before
+// the first successful pass the age gauge reports -1.
+func CheckpointMetrics(session string, cs recorder.CheckpointStats, now time.Time) []Metric {
+	lbl := SessionLabel(session)
+	age := -1.0
+	if !cs.LastSuccess.IsZero() {
+		age = now.Sub(cs.LastSuccess).Seconds()
+	}
+	return []Metric{
+		{"teeperf_checkpoint_passes_total", "Completed checkpoint passes (reached the atomic rename).", "counter", lbl, float64(cs.Passes)},
+		{"teeperf_checkpoint_consecutive_failures", "Failed checkpoint passes since the last clean one.", "gauge", lbl, float64(cs.ConsecutiveFailures)},
+		{"teeperf_checkpoint_bytes_written_total", "Bundle bytes written by completed checkpoint passes.", "counter", lbl, float64(cs.BytesWritten)},
+		{"teeperf_checkpoint_last_success_age_seconds", "Seconds since the last successful checkpoint pass (-1 before the first).", "gauge", lbl, age},
 	}
 }

@@ -7,10 +7,10 @@
 // operator sees the emerging profile and the recorder's headroom without
 // waiting for the process to exit.
 //
-// The monitor is exposed three ways: a terminal top-N view (teeperf
-// monitor), an HTTP server with Prometheus/JSON metrics and a live profile
-// snapshot (teeperf serve), and an in-memory ring of samples recording the
-// run's trajectory for post-mortems.
+// The monitor is exposed two ways: a terminal top-N view (teeperf
+// monitor), and a session hosted by the fleet agent (agent.Agent.Host),
+// whose HTTP plane serves the Prometheus/JSON metrics and the live profile
+// (teeperf serve, teeperf run -addr).
 package monitor
 
 import (
@@ -112,26 +112,6 @@ func WithInterval(d time.Duration) Option {
 	})
 }
 
-// WithHistorySize bounds the snapshot ring buffer (default 512 samples).
-func WithHistorySize(n int) Option {
-	return optionFunc(func(m *Monitor) {
-		if n > 0 {
-			m.histCap = n
-		}
-	})
-}
-
-// WithSessionLabel sets the value of the `session` label on every exported
-// metric (default "main"). Single-session serving and the fleet agent share
-// one metric schema; the label is what tells their series apart.
-func WithSessionLabel(name string) Option {
-	return optionFunc(func(m *Monitor) {
-		if name != "" {
-			m.session = name
-		}
-	})
-}
-
 // retireGrace is how many polls a rotated-out segment's cursor is kept
 // around: probes that loaded the log pointer just before the swap may still
 // commit entries into the old segment shortly after it.
@@ -146,8 +126,6 @@ type retiredCursor struct {
 type Monitor struct {
 	rec      *recorder.Recorder
 	interval time.Duration
-	histCap  int
-	session  string
 
 	// pendMu is a leaf lock shared with the recorder's rotation hook; it
 	// must never be held while taking mu or calling into the recorder.
@@ -162,7 +140,6 @@ type Monitor struct {
 	retired  []retiredCursor
 	buf      []shmlog.Entry
 	observed uint64
-	history  []Sample
 	latest   Sample
 	lastPoll time.Time
 	haveLast bool
@@ -179,8 +156,6 @@ func New(rec *recorder.Recorder, opts ...Option) *Monitor {
 	m := &Monitor{
 		rec:      rec,
 		interval: 250 * time.Millisecond,
-		histCap:  512,
-		session:  "main",
 	}
 	for _, opt := range opts {
 		opt.apply(m)
@@ -217,7 +192,8 @@ func (m *Monitor) adopt(log *shmlog.Log) *shmlog.Cursor {
 }
 
 // Start launches the background sampling loop. It is a no-op if already
-// running.
+// running. A monitor hosted by an agent is never started: the agent's
+// scrape loop calls Advance instead.
 func (m *Monitor) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -238,10 +214,8 @@ func (m *Monitor) loop(stop, done chan struct{}) {
 		select {
 		case <-stop:
 			return
-		case now := <-ticker.C:
-			m.mu.Lock()
-			m.pollLocked(now, true)
-			m.mu.Unlock()
+		case <-ticker.C:
+			m.Advance()
 		}
 	}
 }
@@ -259,14 +233,22 @@ func (m *Monitor) Stop() {
 	m.mu.Unlock()
 	close(stop)
 	<-done
+	m.Advance()
+}
+
+// Advance drains newly committed entries and closes the current rate
+// window: the returned sample becomes Latest and the base of the next
+// window's rates. The sampling loop calls it every interval; an agent
+// hosting the monitor calls it once per scrape.
+func (m *Monitor) Advance() Sample {
 	m.mu.Lock()
-	m.pollLocked(time.Now(), true)
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	return m.pollLocked(time.Now(), true)
 }
 
 // Poll drains newly committed entries and returns a fresh sample without
-// recording it into the history ring (on-demand reads, e.g. HTTP scrapes,
-// should not distort the time-spaced trajectory).
+// closing the rate window (on-demand reads, e.g. HTTP scrapes, should not
+// shorten the time-spaced windows the rates are computed over).
 func (m *Monitor) Poll() Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -274,9 +256,10 @@ func (m *Monitor) Poll() Sample {
 }
 
 // pollLocked drains cursors, updates the live analyzer and computes one
-// sample. Rate windows shorter than a millisecond reuse the previous rates
-// rather than amplifying scheduling noise.
-func (m *Monitor) pollLocked(now time.Time, record bool) Sample {
+// sample; advance closes the rate window. Rate windows shorter than a
+// millisecond reuse the previous rates rather than amplifying scheduling
+// noise.
+func (m *Monitor) pollLocked(now time.Time, advance bool) Sample {
 	// Rotation: rotated-out segments arrive through the recorder hook in
 	// rotation order. Drain each a final time before switching cursors, and
 	// keep them on the retired list for a grace period to catch stragglers
@@ -360,17 +343,10 @@ func (m *Monitor) pollLocked(now time.Time, record bool) Sample {
 			s.DropsPerSec = m.latest.DropsPerSec
 		}
 	}
-	if record || !m.haveLast {
+	if advance || !m.haveLast {
 		m.lastPoll = now
 		m.latest = s
 		m.haveLast = true
-		if record {
-			if len(m.history) == m.histCap {
-				copy(m.history, m.history[1:])
-				m.history = m.history[:m.histCap-1]
-			}
-			m.history = append(m.history, s)
-		}
 	}
 	return s
 }
@@ -388,24 +364,19 @@ func (m *Monitor) Latest() Sample {
 	return m.latest
 }
 
-// History returns the recorded trajectory, oldest first. The ring is
-// bounded by WithHistorySize, so a post-mortem sees how the profile and
-// the recorder's health evolved, not just their final state.
-func (m *Monitor) History() []Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Sample, len(m.history))
-	copy(out, m.history)
-	return out
-}
-
 // Table drains pending entries and returns the live hot-methods table. A
 // top of 0 returns every function.
 func (m *Monitor) Table(top int) analyzer.LiveTable {
+	_, t := m.Snapshot(top)
+	return t
+}
+
+// Snapshot is Poll and Table under one lock: a fresh sample and the live
+// table folded from exactly the entries the sample counts.
+func (m *Monitor) Snapshot(top int) (Sample, analyzer.LiveTable) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.pollLocked(time.Now(), false)
-	return m.inc.Snapshot(top)
+	return m.pollLocked(time.Now(), false), m.inc.Snapshot(top)
 }
 
 // Recorder exposes the observed recorder.
@@ -417,11 +388,7 @@ func (m *Monitor) Interval() time.Duration { return m.interval }
 // WriteTop renders the live view as text: one status line followed by the
 // top-n hot methods. It is the body of the terminal monitor's refresh.
 func (m *Monitor) WriteTop(w io.Writer, n int) error {
-	m.mu.Lock()
-	s := m.pollLocked(time.Now(), false)
-	t := m.inc.Snapshot(n)
-	m.mu.Unlock()
-
+	s, t := m.Snapshot(n)
 	if _, err := fmt.Fprintf(w,
 		"live %s: %d entries (%.0f/s), %d dropped (%.0f/s), fill %.1f%%, %d rotations, %d ticks\n",
 		s.Elapsed.Round(time.Millisecond), s.Entries, s.EntriesPerSec,

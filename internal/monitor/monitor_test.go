@@ -1,11 +1,7 @@
 package monitor
 
 import (
-	"encoding/json"
-	"io"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -137,12 +133,15 @@ func TestLiveConvergesToOffline(t *testing.T) {
 	}
 }
 
-func TestMonitorSamplesAndHistory(t *testing.T) {
+// TestMonitorSamples: the sampling loop's samples carry the recorder's
+// totals, and only Advance (which the loop calls) closes the rate window —
+// an on-demand Poll leaves Latest in place.
+func TestMonitorSamples(t *testing.T) {
 	rig := newRig(t, 1<<16, "main", "work", "leaf", "work2")
 	if err := rig.rec.Start(); err != nil {
 		t.Fatal(err)
 	}
-	mon := New(rig.rec, WithInterval(time.Millisecond), WithHistorySize(8))
+	mon := New(rig.rec, WithInterval(time.Millisecond))
 	mon.Start()
 	rig.runNested(500)
 	time.Sleep(25 * time.Millisecond)
@@ -166,17 +165,16 @@ func TestMonitorSamplesAndHistory(t *testing.T) {
 		t.Error("CounterTicks = 0")
 	}
 
-	hist := mon.History()
-	if len(hist) == 0 || len(hist) > 8 {
-		t.Fatalf("history length %d, want 1..8 (ring bound)", len(hist))
+	if p := mon.Poll(); p.Entries != s.Entries || !mon.Latest().When.Equal(s.When) {
+		t.Errorf("Poll moved the rate window: latest %v, was %v", mon.Latest().When, s.When)
 	}
-	for i := 1; i < len(hist); i++ {
-		if hist[i].When.Before(hist[i-1].When) {
-			t.Errorf("history not chronological at %d", i)
-		}
-		if hist[i].Entries < hist[i-1].Entries {
-			t.Errorf("observed entries went backwards at %d", i)
-		}
+	time.Sleep(2 * time.Millisecond) // windows under 1ms reuse the old rates
+	next := mon.Advance()
+	if next.When.Before(s.When) || !mon.Latest().When.Equal(next.When) {
+		t.Errorf("Advance did not close the window: latest %v, advanced %v", mon.Latest().When, next.When)
+	}
+	if next.Entries != s.Entries || next.EntriesPerSec != 0 {
+		t.Errorf("idle window: %d entries at %.0f/s, want %d at 0/s", next.Entries, next.EntriesPerSec, s.Entries)
 	}
 }
 
@@ -209,127 +207,6 @@ func TestMonitorAcrossRotation(t *testing.T) {
 	table := mon.Table(0)
 	if table.Entries != 300*8 {
 		t.Errorf("live table folded %d entries, want %d", table.Entries, 300*8)
-	}
-}
-
-func fetch(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(body)
-}
-
-func TestServerEndpoints(t *testing.T) {
-	rig := newRig(t, 1<<16, "main", "work", "leaf", "work2")
-	if err := rig.rec.Start(); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := ServeRecorder(rig.rec, "127.0.0.1:0", WithInterval(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	rig.runNested(200)
-	time.Sleep(10 * time.Millisecond)
-	if err := rig.rec.Stop(); err != nil {
-		t.Fatal(err)
-	}
-
-	metrics := fetch(t, srv.URL()+"/metrics")
-	for _, w := range []string{
-		`teeperf_entries_committed_total{session="main"} 1600`,
-		`teeperf_entries_dropped_total{session="main"} 0`,
-		"teeperf_log_fill_percent",
-		"teeperf_counter_ticks_total",
-		`teeperf_log_rotations_total{session="main"} 0`,
-		"# TYPE teeperf_log_fill_percent gauge",
-		"# HELP teeperf_entries_committed_total",
-	} {
-		if !strings.Contains(metrics, w) {
-			t.Errorf("/metrics missing %q\n%s", w, metrics)
-		}
-	}
-
-	var vars map[string]float64
-	if err := json.Unmarshal([]byte(fetch(t, srv.URL()+"/vars")), &vars); err != nil {
-		t.Fatalf("/vars is not JSON: %v", err)
-	}
-	if vars["teeperf_entries_committed_total"] != 1600 {
-		t.Errorf("/vars entries = %f", vars["teeperf_entries_committed_total"])
-	}
-
-	var prof struct {
-		PID       uint64 `json:"pid"`
-		Functions []struct {
-			Name  string `json:"name"`
-			Calls uint64 `json:"calls"`
-		} `json:"functions"`
-		Stats struct {
-			Entries uint64 `json:"entries"`
-		} `json:"stats"`
-	}
-	if err := json.Unmarshal([]byte(fetch(t, srv.URL()+"/profile.json")), &prof); err != nil {
-		t.Fatalf("/profile.json is not JSON: %v", err)
-	}
-	if prof.PID != 424242 {
-		t.Errorf("profile pid = %d", prof.PID)
-	}
-	if len(prof.Functions) == 0 || prof.Stats.Entries != 1600 {
-		t.Errorf("profile incomplete: %+v", prof)
-	}
-
-	var hist []Sample
-	if err := json.Unmarshal([]byte(fetch(t, srv.URL()+"/history.json")), &hist); err != nil {
-		t.Fatalf("/history.json is not JSON: %v", err)
-	}
-	if len(hist) == 0 {
-		t.Error("history empty after sampling")
-	}
-
-	index := fetch(t, srv.URL()+"/")
-	for _, w := range []string{"teeperf live monitor", "Hot methods", "<code>work2</code>", "http-equiv=\"refresh\""} {
-		if !strings.Contains(index, w) {
-			t.Errorf("index page missing %q", w)
-		}
-	}
-	if body := fetch(t, srv.URL()+"/profile.json?top=2"); strings.Count(body, "\"name\"") != 2 {
-		t.Errorf("profile.json?top=2 did not limit functions:\n%s", body)
-	}
-
-	resp, err := http.Get(srv.URL() + "/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/nope status = %d, want 404", resp.StatusCode)
-	}
-}
-
-func TestHandlerDirect(t *testing.T) {
-	rig := newRig(t, 1<<12, "main", "work", "leaf", "work2")
-	if err := rig.rec.Start(); err != nil {
-		t.Fatal(err)
-	}
-	rig.runNested(10)
-	if err := rig.rec.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	mon := New(rig.rec)
-	rr := httptest.NewRecorder()
-	mon.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), `teeperf_entries_committed_total{session="main"} 80`) {
-		t.Errorf("direct /metrics = %d\n%s", rr.Code, rr.Body.String())
 	}
 }
 
@@ -371,61 +248,6 @@ func TestMonitorStopIdempotent(t *testing.T) {
 	mon.Stop() // no-op
 	if err := rig.rec.Stop(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSessionLabelAndCheckpointMetrics covers the fleet-schema contract:
-// every per-session series carries the configured session label, checkpoint
-// gauges appear once checkpointing is configured, and /vars exposes the
-// same values under bare names.
-func TestSessionLabelAndCheckpointMetrics(t *testing.T) {
-	rig := newRig(t, 1<<12, "main", "work", "leaf", "work2")
-	if err := rig.rec.Start(); err != nil {
-		t.Fatal(err)
-	}
-	rig.runNested(10)
-	out := t.TempDir() + "/ckpt.teeperf"
-	if err := rig.rec.StartCheckpoint(out, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if err := rig.rec.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rig.rec.Stop(); err != nil {
-		t.Fatal(err)
-	}
-
-	mon := New(rig.rec, WithSessionLabel("db-bench"))
-	rr := httptest.NewRecorder()
-	mon.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	body := rr.Body.String()
-	for _, w := range []string{
-		`teeperf_entries_committed_total{session="db-bench"} 80`,
-		`teeperf_checkpoint_passes_total{session="db-bench"}`,
-		`teeperf_checkpoint_consecutive_failures{session="db-bench"} 0`,
-		`teeperf_checkpoint_bytes_written_total{session="db-bench"}`,
-		`teeperf_checkpoint_last_success_age_seconds{session="db-bench"}`,
-		"# TYPE teeperf_checkpoint_passes_total counter",
-	} {
-		if !strings.Contains(body, w) {
-			t.Errorf("/metrics missing %q\n%s", w, body)
-		}
-	}
-
-	rr = httptest.NewRecorder()
-	mon.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/vars", nil))
-	var vars map[string]float64
-	if err := json.Unmarshal(rr.Body.Bytes(), &vars); err != nil {
-		t.Fatalf("/vars is not JSON: %v", err)
-	}
-	if vars["teeperf_checkpoint_passes_total"] < 1 {
-		t.Errorf("/vars checkpoint passes = %f, want >= 1", vars["teeperf_checkpoint_passes_total"])
-	}
-	if vars["teeperf_checkpoint_bytes_written_total"] <= 0 {
-		t.Errorf("/vars checkpoint bytes = %f, want > 0", vars["teeperf_checkpoint_bytes_written_total"])
-	}
-	if age := vars["teeperf_checkpoint_last_success_age_seconds"]; age < 0 {
-		t.Errorf("/vars checkpoint age = %f, want >= 0 after a pass", age)
 	}
 }
 

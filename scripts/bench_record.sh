@@ -3,10 +3,12 @@
 # once in bench_suite.sh) and write the results as BENCH_shmlog.json (log
 # hot paths), BENCH_agent.json (analyzer + fleet agent), BENCH_store.json
 # (profile history store ingest/query) and BENCH_overhead.json (the
-# stress-personality overhead gauntlet). Numbers are machine-dependent —
-# regenerate on quiet hardware and commit the files; scripts/bench_gate.sh
-# checks all but the last only for existence and gates BENCH_overhead.json's
-# ratio trajectory.
+# stress-personality overhead gauntlet). The go-test benchmark files run
+# each benchmark five times (-count=5) and benchjson folds the repeats into
+# one row of medians, so no committed row is a single draw. Numbers are
+# machine-dependent — regenerate on quiet hardware and commit the files;
+# scripts/bench_gate.sh checks all but the last only for existence and
+# gates BENCH_overhead.json's ratio trajectory.
 #
 #   BENCHTIME=1s ./scripts/bench_record.sh    # default 300ms per benchmark
 #   ONLY=overhead ./scripts/bench_record.sh   # refresh one file (shmlog|agent|store|overhead)
@@ -44,8 +46,6 @@ guard_cpus() {
 
 if wants shmlog; then
     guard_cpus BENCH_shmlog.json
-    # Five repeats: benchjson folds them into one row of medians, so the
-    # probe-pair and append rows are not single draws.
     go test -run='^$' -bench="$(bench_pattern "${SHMLOG_BENCHES[@]}")" \
         -benchtime="$benchtime" -count=5 . |
         tee /dev/stderr |
@@ -56,7 +56,7 @@ fi
 if wants agent; then
     guard_cpus BENCH_agent.json
     go test -run='^$' -bench="$(bench_pattern "${AGENT_BENCHES[@]}")" \
-        -benchtime="$benchtime" -count=1 . ./internal/agent |
+        -benchtime="$benchtime" -count=5 . ./internal/agent |
         tee /dev/stderr |
         go run ./scripts/benchjson "${meta[@]}" >BENCH_agent.json
     echo "wrote BENCH_agent.json (${ncpu} CPUs)" >&2
@@ -65,7 +65,7 @@ fi
 if wants store; then
     guard_cpus BENCH_store.json
     go test -run='^$' -bench="$(bench_pattern "${STORE_BENCHES[@]}")" \
-        -benchtime="$benchtime" -count=1 ./internal/profilestore |
+        -benchtime="$benchtime" -count=5 ./internal/profilestore |
         tee /dev/stderr |
         go run ./scripts/benchjson "${meta[@]}" >BENCH_store.json
     echo "wrote BENCH_store.json (${ncpu} CPUs)" >&2

@@ -25,6 +25,7 @@ import (
 	"os"
 	"time"
 
+	"teeperf/internal/agent"
 	"teeperf/internal/analyzer"
 	"teeperf/internal/counter"
 	"teeperf/internal/flamegraph"
@@ -466,9 +467,11 @@ func (s *Session) StartCheckpoint(path string, interval time.Duration) error {
 type (
 	// Monitor is the live observer over a running session.
 	Monitor = monitor.Monitor
-	// MonitorServer is a running live-monitor HTTP endpoint.
-	MonitorServer = monitor.Server
-	// MonitorSample is one point of the run's recorded trajectory.
+	// MonitorServer is a running live-monitor HTTP endpoint: the fleet
+	// agent's, hosting the session's monitor.
+	MonitorServer = agent.Server
+	// MonitorSample is one point of the run's trajectory: totals plus the
+	// rates over the last sample window.
 	MonitorSample = monitor.Sample
 	// MonitorOption configures a Monitor.
 	MonitorOption = monitor.Option
@@ -478,13 +481,8 @@ type (
 	LiveFunc = analyzer.LiveFunc
 )
 
-// Monitor option constructors.
-var (
-	// WithMonitorInterval sets the sampling interval (default 250ms).
-	WithMonitorInterval = monitor.WithInterval
-	// WithMonitorHistory bounds the snapshot ring buffer (default 512).
-	WithMonitorHistory = monitor.WithHistorySize
-)
+// WithMonitorInterval sets the sampling interval (default 250ms).
+var WithMonitorInterval = monitor.WithInterval
 
 // Monitor creates (but does not start) a live monitor over the running
 // session. Call its Start method to begin background sampling, or Poll /
@@ -496,13 +494,18 @@ func (s *Session) Monitor(opts ...MonitorOption) (*Monitor, error) {
 	return monitor.New(s.rec, opts...), nil
 }
 
-// ServeMonitor starts a background monitor over the running session and
-// serves it on addr (e.g. ":7070"): /metrics (Prometheus text), /vars
-// (JSON), /profile.json, /history.json and a live HTML page at /. Close
-// the returned server to stop both it and the monitor.
+// ServeMonitor hosts a monitor over the running session as the agent
+// session "main" and serves the agent's HTTP plane on addr (e.g. ":7070"):
+// /metrics (Prometheus text), /vars (JSON keyed by series),
+// /profile.json?session=main, /sessions, /trace?session=main and a live
+// HTML page at /. The monitor is scraped every interval (WithMonitorInterval).
+// Close the returned server to stop serving.
 func (s *Session) ServeMonitor(addr string, opts ...MonitorOption) (*MonitorServer, error) {
 	if s.rec == nil {
 		return nil, errors.New("teeperf: session not started")
 	}
-	return monitor.ServeRecorder(s.rec, addr, opts...)
+	m := monitor.New(s.rec, opts...)
+	a := agent.New(agent.Config{Interval: m.Interval()})
+	a.Host("main", m)
+	return agent.Serve(a, addr)
 }

@@ -297,7 +297,7 @@ func TestSessionMonitorFacade(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := s.ServeMonitor("127.0.0.1:0", WithMonitorInterval(time.Millisecond), WithMonitorHistory(16))
+	srv, err := s.ServeMonitor("127.0.0.1:0", WithMonitorInterval(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +313,7 @@ func TestSessionMonitorFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mon := srv.Monitor()
-	table := mon.Table(0)
+	table := srv.Agent().Session("main").Table(0)
 	if len(table.Funcs) != 1 || table.Funcs[0].Name != "app.live" || table.Funcs[0].Calls != 1 {
 		t.Fatalf("live table via facade = %+v", table.Funcs)
 	}
