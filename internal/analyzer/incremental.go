@@ -37,6 +37,7 @@ import (
 type Incremental struct {
 	threads map[uint64]*threadStack
 	order   []uint64
+	last    *threadStack // the thread fed most recently
 	live    liveTotals
 }
 
@@ -49,6 +50,7 @@ type liveTotals struct {
 	tab        *symtab.Table
 	bias       int64          // tab's load bias when byAddr was filled
 	byAddr     map[uint64]int // function index per address: the name memo
+	memo       *addrMemo      // byAddr's latest answers, looked up first
 	byName     map[string]int // function index per display name
 	funcs      []LiveFunc
 	period     uint64 // weight multiplier, >= 1
@@ -56,9 +58,39 @@ type liveTotals struct {
 	totalTicks uint64 // inclusive ticks of closed root frames
 }
 
+// addrMemoBits sizes addrMemo: 1<<addrMemoBits slots of 16 bytes.
+const addrMemoBits = 10
+
+// addrMemo is a direct-mapped cache in front of byAddr: each address
+// hashes to one slot, which holds the last address seen there and its
+// function index plus one (0 marks an empty slot). liveTotals points to it,
+// so Snapshot's copy of the totals shares it instead of copying 16 KiB; the
+// copy only closes frames and never consults it.
+type addrMemo [1 << addrMemoBits]struct {
+	addr uint64
+	fn   int
+}
+
+// slot returns addr's memo slot, hashed so that aligned function
+// addresses spread over the whole table.
+func (m *addrMemo) slot(addr uint64) int {
+	return int((addr * 0x9e3779b97f4a7c15) >> (64 - addrMemoBits))
+}
+
 // opened returns addr's function index, resolving its name the first time
 // the address is seen. Addresses that display alike share one index.
 func (lt *liveTotals) opened(_ int, addr uint64) int {
+	m := &lt.memo[lt.memo.slot(addr)]
+	if m.addr == addr && m.fn != 0 {
+		return m.fn - 1
+	}
+	i := lt.index(addr)
+	m.addr, m.fn = addr, i+1
+	return i
+}
+
+// index looks addr up in byAddr, resolving and recording it on a miss.
+func (lt *liveTotals) index(addr uint64) int {
 	if i, ok := lt.byAddr[addr]; ok {
 		return i
 	}
@@ -78,8 +110,14 @@ func (lt *liveTotals) opened(_ int, addr uint64) int {
 func (lt *liveTotals) checkBias() {
 	if b := lt.tab.LoadBias(); b != lt.bias {
 		lt.bias = b
-		clear(lt.byAddr)
+		lt.clearMemo()
 	}
+}
+
+// clearMemo forgets every address's function index.
+func (lt *liveTotals) clearMemo() {
+	clear(lt.byAddr)
+	*lt.memo = addrMemo{}
 }
 
 func (lt *liveTotals) closed(f closedFrame, under []frame) {
@@ -149,6 +187,7 @@ func NewIncremental(tab *symtab.Table) *Incremental {
 			tab:    tab,
 			bias:   tab.LoadBias(),
 			byAddr: make(map[uint64]int),
+			memo:   new(addrMemo),
 			byName: make(map[string]int),
 			period: 1,
 		},
@@ -172,26 +211,35 @@ func (inc *Incremental) SamplePeriod() uint64 { return inc.live.period }
 
 // Feed folds one log entry into the live table.
 func (inc *Incremental) Feed(e shmlog.Entry) {
-	inc.live.checkBias()
-	inc.feed(e)
+	inc.FeedAll([]shmlog.Entry{e})
 }
 
-// FeedAll folds a batch of entries in order.
+// FeedAll folds a batch of entries in order. A run of one thread's
+// entries reuses the stack of the thread fed last, skipping the threads
+// map.
 func (inc *Incremental) FeedAll(entries []shmlog.Entry) {
 	inc.live.checkBias()
-	for _, e := range entries {
-		inc.feed(e)
+	var sink frameSink = &inc.live
+	ts := inc.last
+	for i := range entries {
+		e := &entries[i]
+		if ts == nil || ts.id != e.ThreadID {
+			ts = inc.thread(e.ThreadID)
+		}
+		ts.feed(*e, sink)
 	}
+	inc.last = ts
 }
 
-func (inc *Incremental) feed(e shmlog.Entry) {
-	ts, ok := inc.threads[e.ThreadID]
-	if !ok {
-		ts = &threadStack{id: e.ThreadID}
-		inc.threads[e.ThreadID] = ts
-		inc.order = append(inc.order, e.ThreadID)
+// thread returns tid's stack, adding it on first sight.
+func (inc *Incremental) thread(tid uint64) *threadStack {
+	ts := inc.threads[tid]
+	if ts == nil {
+		ts = &threadStack{id: tid}
+		inc.threads[tid] = ts
+		inc.order = append(inc.order, tid)
 	}
-	ts.feed(e, &inc.live)
+	return ts
 }
 
 // Entries returns how many log entries have been folded in.
@@ -235,7 +283,7 @@ func (inc *Incremental) SetTable(tab *symtab.Table) {
 	}
 	old := lt.funcs
 	lt.tab, lt.bias, lt.funcs = tab, tab.LoadBias(), nil
-	clear(lt.byAddr)
+	lt.clearMemo()
 	clear(lt.byName)
 	for _, lf := range old {
 		if lf.Calls == 0 {

@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -263,6 +264,164 @@ func TestIncrementalMemoFollowsLoadBias(t *testing.T) {
 	if _, ok := got["a"]; !ok {
 		t.Fatalf("no call resolved under the new bias: %v", got)
 	}
+}
+
+// TestIncrementalMemoCollision calls two functions whose addresses share
+// one slot of the address memo, alternately and under different parents on
+// two threads, so each call evicts the other's slot. The live table must
+// still equal the offline analyzer's.
+func TestIncrementalMemoCollision(t *testing.T) {
+	// One more function than the memo has slots: two of them must share one.
+	names := []string{"p", "q"}
+	for i := 0; i <= len(addrMemo{}); i++ {
+		names = append(names, fmt.Sprintf("f%04d", i))
+	}
+	f := newFixture(t, 128, names...)
+	var memo addrMemo
+	bySlot := map[int]string{}
+	var a, b string
+	for _, n := range names[2:] {
+		s := memo.slot(f.fns[n])
+		if other, ok := bySlot[s]; ok {
+			a, b = other, n
+			break
+		}
+		bySlot[s] = n
+	}
+	if a == "" {
+		t.Fatal("no two function addresses share a memo slot")
+	}
+
+	at := uint64(0)
+	tick := func(d uint64) uint64 { at += d; return at }
+	for round := uint64(0); round < 8; round++ {
+		tid, parent, first, second := 1+round%2, "p", a, b
+		if round%2 == 1 {
+			parent, first, second = "q", b, a
+		}
+		f.call(t, tid, parent, tick(1))
+		f.call(t, tid, first, tick(2))
+		f.ret(t, tid, first, tick(3+round))
+		f.call(t, tid, second, tick(1))
+		f.ret(t, tid, second, tick(5+2*round))
+		f.ret(t, tid, parent, tick(7))
+	}
+	inc := NewIncremental(f.tab)
+	for _, e := range f.log.Cursor().Next(nil) {
+		inc.Feed(e)
+	}
+	assertTablesMatch(t, inc.Snapshot(0), f.analyze(t))
+}
+
+// TestLiveDrainAllocatesNothingWhenWarm drains same-size bursts two ways,
+// through Cursor.Next into a reused buffer and through Cursor.Drain, and
+// folds them in: once the first burst has grown the buffers, named the
+// functions and met the threads, a drain allocates nothing. A burst spans
+// more than one Drain window.
+func TestLiveDrainAllocatesNothingWhenWarm(t *testing.T) {
+	const runs = 20
+	const pairs = 64
+	const burstLen = 2 * (2 + 4*pairs) // two threads, each main around pairs of work/leaf
+	f := newFixture(t, (runs+2)*burstLen, "main", "work", "leaf")
+	main, work, leaf := f.fns["main"], f.fns["work"], f.fns["leaf"]
+	at := uint64(0)
+	appendEntry := func(kind shmlog.Kind, tid, addr uint64) {
+		at++
+		if err := f.log.Append(shmlog.Entry{Kind: kind, Counter: at, Addr: addr, ThreadID: tid}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nextCur, drainCur := f.log.Cursor(), f.log.Cursor()
+	nextInc, drainInc := NewIncremental(f.tab), NewIncremental(f.tab)
+	var buf []shmlog.Entry
+	drain := func() {
+		for tid := uint64(1); tid <= 2; tid++ {
+			appendEntry(shmlog.KindCall, tid, main)
+			for k := 0; k < pairs; k++ {
+				appendEntry(shmlog.KindCall, tid, work)
+				appendEntry(shmlog.KindCall, tid, leaf)
+				appendEntry(shmlog.KindReturn, tid, leaf)
+				appendEntry(shmlog.KindReturn, tid, work)
+			}
+			appendEntry(shmlog.KindReturn, tid, main)
+		}
+		if buf = nextCur.Next(buf[:0]); len(buf) != burstLen {
+			t.Fatalf("Next drained %d entries, want %d", len(buf), burstLen)
+		}
+		nextInc.FeedAll(buf)
+		if n := drainCur.Drain(drainInc.FeedAll); n != burstLen {
+			t.Fatalf("Drain drained %d entries, want %d", n, burstLen)
+		}
+	}
+	drain()
+	if n := testing.AllocsPerRun(runs, drain); n != 0 {
+		t.Fatalf("a warm drain allocates %.1f times, want 0", n)
+	}
+	want := liveTotalsByName(nextInc.Snapshot(0))
+	if got := liveTotalsByName(drainInc.Snapshot(0)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Drain folded %v, Next %v", got, want)
+	}
+	if got := nextInc.Snapshot(0).Entries; got != (runs+2)*burstLen {
+		t.Fatalf("folded %d entries, want %d", got, (runs+2)*burstLen)
+	}
+}
+
+// BenchmarkIncrementalFeedAll measures the live drain's fold half: per
+// iteration a warm Incremental folds one burst of 32 Ki entries from four
+// threads, each writing runs of 256 entries of call trees up to four deep
+// over 64 functions. The burst is balanced, so every iteration starts on
+// empty stacks. Divide ns/op by entries/op for the cost per entry.
+func BenchmarkIncrementalFeedAll(b *testing.B) {
+	const burst = 1 << 15
+	const threads = 4
+	const run = 256
+	tab := symtab.New()
+	addrs := make([]uint64, 64)
+	for i := range addrs {
+		addrs[i] = tab.MustRegister(fmt.Sprintf("bench.fn%02d", i), 64, "bench.go", i+1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	perThread := make([][]shmlog.Entry, threads)
+	for tid := range perThread {
+		var es []shmlog.Entry
+		at := uint64(0)
+		for len(es) < burst/threads {
+			depth := 1 + rng.Intn(4)
+			stack := make([]uint64, depth)
+			for d := range stack {
+				stack[d] = addrs[rng.Intn(len(addrs))]
+				at += 3
+				es = append(es, shmlog.Entry{Kind: shmlog.KindCall, Counter: at, Addr: stack[d], ThreadID: uint64(tid + 1)})
+			}
+			for d := depth - 1; d >= 0; d-- {
+				at += 5
+				es = append(es, shmlog.Entry{Kind: shmlog.KindReturn, Counter: at, Addr: stack[d], ThreadID: uint64(tid + 1)})
+			}
+		}
+		perThread[tid] = es
+	}
+	// Interleave the threads in runs, as a sharded log's segments and
+	// batched writers hand them to the cursor.
+	longest := 0
+	for _, es := range perThread {
+		longest = max(longest, len(es))
+	}
+	var entries []shmlog.Entry
+	for off := 0; off < longest; off += run {
+		for _, es := range perThread {
+			if off < len(es) {
+				entries = append(entries, es[off:min(off+run, len(es))]...)
+			}
+		}
+	}
+	inc := NewIncremental(tab)
+	inc.FeedAll(entries)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inc.FeedAll(entries)
+	}
+	b.ReportMetric(float64(len(entries)), "entries/op")
 }
 
 func fedFresh(tab *symtab.Table, entries []shmlog.Entry) LiveTable {

@@ -138,7 +138,6 @@ type Monitor struct {
 	cur      *shmlog.Cursor
 	seen     map[*shmlog.Log]bool
 	retired  []retiredCursor
-	buf      []shmlog.Entry
 	observed uint64
 	latest   Sample
 	lastPoll time.Time
@@ -352,9 +351,7 @@ func (m *Monitor) pollLocked(now time.Time, advance bool) Sample {
 }
 
 func (m *Monitor) drainLocked(c *shmlog.Cursor) {
-	m.buf = c.Next(m.buf[:0])
-	m.inc.FeedAll(m.buf)
-	m.observed += uint64(len(m.buf))
+	m.observed += uint64(c.Drain(m.inc.FeedAll))
 }
 
 // Latest returns the most recent sample (zero before the first poll).

@@ -164,3 +164,197 @@ func TestCursorConcurrentTailing(t *testing.T) {
 		lastSeq[e.ThreadID] = int64(seq)
 	}
 }
+
+// TestCursorFastPathMeetsHole has one Next call walk a committed prefix
+// holding a tombstone, reach a slot still in flight, and find committed
+// slots beyond it of a thread that also committed in the prefix, so the
+// one-pass frontier walk hands over to the fixpoint mid-segment. Once the
+// hole commits, it must come out before every entry committed after it,
+// and each thread's entries in order.
+func TestCursorFastPathMeetsHole(t *testing.T) {
+	l, err := New(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, n := l.ReserveShard(0, 6)
+	if n != 6 {
+		t.Fatalf("reserved %d slots, want 6", n)
+	}
+	// Thread 1 owns slots 0, 3 and 6, thread 2 slots 2, 4, 5 and 7; slot 1
+	// is released. The counter is the slot, so slot order is easy to see.
+	commit := func(slot, tid uint64) {
+		l.Commit(slot, Entry{Kind: KindCall, Counter: slot, Addr: 0x100 * tid, ThreadID: tid})
+	}
+	commit(start+0, 1)
+	l.Release(start + 1)
+	commit(start+2, 2)
+	commit(start+4, 2) // slot 3 stays in flight
+	commit(start+5, 2)
+
+	c := l.Cursor()
+	got := c.Next(nil)
+	if want := []uint64{0, 2, 4, 5}; !sameCounters(got, want) {
+		t.Fatalf("first drain = %v, want counters %v", got, want)
+	}
+	if c.Pending() != 1 || c.Pos() != 6 {
+		t.Fatalf("after the first drain: %d pending at pos %d, want 1 at 6", c.Pending(), c.Pos())
+	}
+
+	commit(start+3, 1) // the hole commits, then both threads move on
+	more, n := l.ReserveShard(0, 2)
+	if n != 2 || more != start+6 {
+		t.Fatalf("second reservation = %d slots at %d, want 2 at %d", n, more, start+6)
+	}
+	commit(more, 1)
+	commit(more+1, 2)
+	got = c.Next(got)
+	if want := []uint64{0, 2, 4, 5, 3, 6, 7}; !sameCounters(got, want) {
+		t.Fatalf("both drains = %v, want counters %v", got, want)
+	}
+	if c.Pending() != 0 || c.Pos() != 8 {
+		t.Fatalf("after the second drain: %d pending at pos %d, want 0 at 8", c.Pending(), c.Pos())
+	}
+	last := map[uint64]int64{1: -1, 2: -1}
+	for _, e := range got {
+		if int64(e.Counter) <= last[e.ThreadID] {
+			t.Fatalf("thread %d out of order: slot %d after %d", e.ThreadID, e.Counter, last[e.ThreadID])
+		}
+		last[e.ThreadID] = int64(e.Counter)
+	}
+	if got := c.Next(nil); len(got) != 0 {
+		t.Fatalf("third drain re-returned %v", got)
+	}
+}
+
+// TestCursorDrainMatchesNext drains one log through Next and through
+// Drain, call for call, while a reserved block on each of two shards stays
+// in flight across calls: Drain must hand over exactly Next's entries in
+// Next's order, in windows of at most 512, both from the one-pass frontier
+// walk and from the fixpoint once the blocks commit.
+func TestCursorDrainMatchesNext(t *testing.T) {
+	l, err := New(8192, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, drain := l.Cursor(), l.Cursor()
+	var counter uint64
+	put := func(tid uint64, n int) {
+		for i := 0; i < n; i++ {
+			counter++
+			if err := l.Append(Entry{Kind: KindCall, Counter: counter, Addr: tid, ThreadID: tid}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Threads 2 and 3 hash onto different shards; each leaves a block of
+	// 700 slots reserved, then commits past it.
+	if l.ShardOf(2) == l.ShardOf(3) || l.ShardOf(4) != l.ShardOf(2) || l.ShardOf(5) != l.ShardOf(3) {
+		t.Fatal("threads 2, 4 and 3, 5 do not share two distinct shards")
+	}
+	var blocks [2]uint64
+	for k, tid := range []uint64{2, 3} {
+		put(tid, 300)
+		start, n := l.ReserveShard(l.ShardOf(tid), 700)
+		if n != 700 {
+			t.Fatalf("reserved %d slots, want 700", n)
+		}
+		blocks[k] = start
+		put(tid+2, 600) // tid+2 shares tid's shard
+	}
+	check := func(round string) {
+		t.Helper()
+		want := next.Next(nil)
+		var got []Entry
+		n := drain.Drain(func(w []Entry) {
+			if len(w) == 0 || len(w) > 512 {
+				t.Fatalf("%s: window of %d entries", round, len(w))
+			}
+			got = append(got, w...)
+		})
+		if n != len(want) || len(got) != len(want) {
+			t.Fatalf("%s: Drain handed over %d (reported %d), Next %d", round, len(got), n, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: entry %d = %+v, Next %+v", round, i, got[i], want[i])
+			}
+		}
+		if drain.Pending() != next.Pending() || drain.Pos() != next.Pos() {
+			t.Fatalf("%s: Drain at %d with %d pending, Next at %d with %d", round,
+				drain.Pos(), drain.Pending(), next.Pos(), next.Pending())
+		}
+	}
+	check("blocks in flight")
+	for k, tid := range []uint64{2, 3} {
+		for i := uint64(0); i < 700; i++ {
+			counter++
+			l.Commit(blocks[k]+i, Entry{Kind: KindReturn, Counter: counter, Addr: tid, ThreadID: tid})
+		}
+	}
+	put(5, 100)
+	check("blocks committed")
+	if next.Pending() != 0 {
+		t.Fatalf("%d holes left after every block committed", next.Pending())
+	}
+	check("nothing new")
+}
+
+func sameCounters(es []Entry, want []uint64) bool {
+	if len(es) != len(want) {
+		return false
+	}
+	for i, e := range es {
+		if e.Counter != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// BenchmarkCursorNext measures the live drain's read half: per iteration
+// a burst of 32 Ki call/return entries commits with the timer stopped and
+// a warm cursor drains it into a reused buffer. Divide ns/op by
+// entries/op for the cost per entry.
+func BenchmarkCursorNext(b *testing.B) {
+	const burst = 1 << 15
+	const bursts = 16 // per log; then the log resets under a fresh cursor
+	l, err := New(bursts * burst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	commit := func() {
+		for i := 0; i < burst; i++ {
+			e := Entry{Kind: KindCall, Counter: uint64(i), Addr: 0x1000, ThreadID: 1}
+			if i%2 == 1 {
+				e.Kind = KindReturn
+			}
+			if err := l.Append(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	buf := make([]Entry, 0, burst)
+	var c *Cursor
+	// fill commits the next burst, first starting the log over under a
+	// fresh cursor, warmed by one drain, once it is full.
+	fill := func() {
+		if c == nil || l.Len() == l.Capacity() {
+			l.Reset()
+			c = l.Cursor()
+			commit()
+			buf = c.Next(buf[:0])
+		}
+		commit()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fill()
+		b.StartTimer()
+		if buf = c.Next(buf[:0]); len(buf) != burst {
+			b.Fatalf("drained %d entries, want %d", len(buf), burst)
+		}
+	}
+	b.ReportMetric(burst, "entries/op")
+}

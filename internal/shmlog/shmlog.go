@@ -1445,8 +1445,9 @@ func readSlots(r io.Reader, slots *[]rawSlot, n int) error {
 }
 
 // Cursor is an incremental reader over a live log: each Next call returns
-// the entries committed since the previous call, letting a monitor tail the
-// log concurrently with running probes without reparsing from the start.
+// the entries committed since the previous call (Drain hands them to a
+// callback instead), letting a monitor tail the log concurrently with
+// running probes without reparsing from the start.
 //
 // A slot below a segment's tail may be reserved but still in flight: the
 // writer sits between the fetch-and-add and the entry stores, or — under
@@ -1473,6 +1474,11 @@ func readSlots(r io.Reader, slots *[]rawSlot, n int) error {
 // observe it and splice it in. When Next returns, no tracked hole was
 // committed before any entry it emitted.
 //
+// A segment with no tracked holes — the common case — drains in one pass:
+// the committed prefix of its new frontier is emitted as it is read, and
+// the rescans start at the first slot still in flight. No hole lies below
+// that prefix, so it needs none.
+//
 // Consequently the cursor requires non-zero thread IDs: an entry committed
 // with ThreadID 0 is indistinguishable from an in-flight slot and is
 // tracked as a hole forever (never emitted). The probe runtime always
@@ -1487,6 +1493,7 @@ type Cursor struct {
 	// segment's scan, reused across segments and calls to avoid per-call
 	// allocation.
 	scratch []int
+	window  []Entry // Drain's staging buffer
 }
 
 // segCursor is the cursor's per-segment frontier state.
@@ -1530,24 +1537,82 @@ func (c *Cursor) Pending() int {
 // dst unchanged when nothing new has committed.
 func (c *Cursor) Next(dst []Entry) []Entry {
 	for s := range c.segs {
-		dst = c.nextSeg(s, dst)
+		dst = c.nextSeg(s, dst, nil)
 	}
 	return dst
 }
 
-// nextSeg advances one segment's frontier, resolving holes to a fixpoint
-// (see the Cursor doc comment), and appends that segment's newly committed
-// entries to dst in slot order.
-func (c *Cursor) nextSeg(s int, dst []Entry) []Entry {
+// drainWindow is how many entries Drain stages at a time: 16 KiB, so a
+// window is consumed while it is still in the L1 cache.
+const drainWindow = 512
+
+// Drain hands every newly committed entry to fn, in Next's order, in
+// windows of at most 512 entries, and returns how many it handed over.
+// Next stages a whole drain in one buffer, which a large burst pushes out
+// of the cache before the caller reads it back; Drain lets the caller fold
+// each window right after it is decoded. fn runs in the middle of the
+// cursor's scan, so it must not use the cursor, and it must not keep a
+// window: the cursor reuses it for the next one.
+func (c *Cursor) Drain(fn func([]Entry)) int {
+	if c.window == nil {
+		c.window = make([]Entry, 0, drainWindow)
+	}
+	n := 0
+	flush := func(w []Entry) {
+		n += len(w)
+		fn(w)
+	}
+	w := c.window[:0]
+	for s := range c.segs {
+		w = c.nextSeg(s, w, flush)
+	}
+	if len(w) > 0 {
+		flush(w)
+	}
+	return n
+}
+
+// nextSeg advances one segment's frontier and appends that segment's newly
+// committed entries to dst in slot order. With no holes tracked, it walks
+// the new frontier once, loading each slot's marker once and decoding
+// committed slots straight into dst, up to the first slot still in
+// flight. Only the rest — that slot onward, plus any holes kept from
+// earlier calls — is resolved to a fixpoint (see the Cursor doc comment).
+// With a flush, dst is a window: when it is full, flush consumes it and it
+// starts over empty.
+func (c *Cursor) nextSeg(s int, dst []Entry, flush func([]Entry)) []Entry {
 	sc := &c.segs[s]
 	n := c.log.segLen(s)
-	if len(sc.holes) == 0 && sc.pos >= n {
-		return dst
+	if len(sc.holes) == 0 {
+		if sc.pos >= n {
+			return dst
+		}
+		i := sc.pos
+		seg := c.log.words[c.log.segEntryIdx(s, i):c.log.segEntryIdx(s, n)]
+		for ; len(seg) >= EntryWords; seg = seg[EntryWords:] {
+			tid := atomic.LoadUint64(&seg[2])
+			if tid == 0 {
+				break // in flight: the fixpoint below takes it from here
+			}
+			if tid != TombstoneTID {
+				if flush != nil && len(dst) == cap(dst) {
+					flush(dst)
+					dst = dst[:0]
+				}
+				dst = append(dst, decodeWords(seg[0], seg[1], tid))
+			}
+			i++
+		}
+		if sc.pos = i; i == n {
+			return dst
+		}
 	}
 
-	// Candidate slots for this call, in increasing slot order: previously
-	// tracked holes (all below the frontier) followed by the new frontier
-	// region.
+	// Candidate slots for the fixpoint, in increasing slot order: tracked
+	// holes (all below the frontier) followed by the rest of the frontier.
+	// Every entry emitted above sits below all of them and was observed
+	// before the fixpoint's final pass, so the fixpoint's guarantee covers
+	// it too.
 	pending := sc.holes
 	for i := sc.pos; i < n; i++ {
 		pending = append(pending, i)
@@ -1562,9 +1627,9 @@ func (c *Cursor) nextSeg(s int, dst []Entry) []Entry {
 	// ordered before a commit observed by pass k is itself committed
 	// before pass k+1 starts; rescanning the remaining holes until a pass
 	// observes no new commit therefore guarantees that no hole surviving
-	// this call was committed before any entry emitted by it. In practice
-	// the loop is two passes — the second resolves nothing — and only the
-	// first walks the frontier.
+	// this call was committed before any entry emitted by it. The loop is
+	// usually two passes — the second resolves nothing — over the slots
+	// from the first one still in flight on.
 	committed := c.scratch[:0]
 	for {
 		resolved := false
@@ -1593,6 +1658,10 @@ func (c *Cursor) nextSeg(s int, dst []Entry) []Entry {
 		sort.Ints(committed)
 	}
 	for _, i := range committed {
+		if flush != nil && len(dst) == cap(dst) {
+			flush(dst)
+			dst = dst[:0]
+		}
 		dst = append(dst, decodeWords(c.log.slotWords(c.log.segEntryIdx(s, i))))
 	}
 	c.scratch = committed[:0]

@@ -56,7 +56,7 @@ fi
 if wants agent; then
     guard_cpus BENCH_agent.json
     go test -run='^$' -bench="$(bench_pattern "${AGENT_BENCHES[@]}")" \
-        -benchtime="$benchtime" -count=5 . ./internal/agent |
+        -benchtime="$benchtime" -count=5 . ./internal/agent ./internal/shmlog ./internal/analyzer |
         tee /dev/stderr |
         go run ./scripts/benchjson "${meta[@]}" >BENCH_agent.json
     echo "wrote BENCH_agent.json (${ncpu} CPUs)" >&2

@@ -7,7 +7,9 @@
 #
 # SHMLOG_BENCHES cover the probe pair and the shared-memory log hot paths
 # (recorded to BENCH_shmlog.json); AGENT_BENCHES cover the analyzer and
-# fleet-agent paths (recorded to BENCH_agent.json).
+# fleet-agent paths (recorded to BENCH_agent.json), including the live
+# drain's two layers on their own: the cursor's read and the incremental
+# fold, each with an entries/op figure for its cost per entry.
 
 SHMLOG_BENCHES=(
     BenchmarkProbePair
@@ -30,6 +32,8 @@ AGENT_BENCHES=(
     BenchmarkAnalyzerParallel
     BenchmarkAgentScrape
     BenchmarkAgentScrapeSymbols
+    BenchmarkCursorNext
+    BenchmarkIncrementalFeedAll
 )
 
 # STORE_BENCHES cover the profile history store (recorded to
