@@ -106,6 +106,7 @@ type Session struct {
 	tab   *symtab.Table
 	inc   *analyzer.Incremental
 	syms  *recorder.SymsLoader
+	buf   []shmlog.Entry
 
 	entries   uint64 // committed entries drained so far
 	appPID    uint64 // stamped application PID (0 until the app attaches)
@@ -497,9 +498,10 @@ func (s *Session) drainLocked() int {
 	// The recording may be sampled (by the recorder, or by this agent's own
 	// throttle); weigh entries by the period in effect when they drain.
 	s.inc.SetSamplePeriod(s.log.SamplePeriod())
-	n := s.cur.Drain(s.inc.FeedAll)
-	s.entries += uint64(n)
-	return n
+	s.buf = s.cur.Next(s.buf[:0])
+	s.inc.FeedAll(s.buf)
+	s.entries += uint64(len(s.buf))
+	return len(s.buf)
 }
 
 // salvageLocked is the dead → salvaged transition: one final cursor drain

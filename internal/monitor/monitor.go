@@ -138,6 +138,7 @@ type Monitor struct {
 	cur      *shmlog.Cursor
 	seen     map[*shmlog.Log]bool
 	retired  []retiredCursor
+	buf      []shmlog.Entry
 	observed uint64
 	latest   Sample
 	lastPoll time.Time
@@ -351,7 +352,9 @@ func (m *Monitor) pollLocked(now time.Time, advance bool) Sample {
 }
 
 func (m *Monitor) drainLocked(c *shmlog.Cursor) {
-	m.observed += uint64(c.Drain(m.inc.FeedAll))
+	m.buf = c.Next(m.buf[:0])
+	m.inc.FeedAll(m.buf)
+	m.observed += uint64(len(m.buf))
 }
 
 // Latest returns the most recent sample (zero before the first poll).

@@ -226,79 +226,6 @@ func TestCursorFastPathMeetsHole(t *testing.T) {
 	}
 }
 
-// TestCursorDrainMatchesNext drains one log through Next and through
-// Drain, call for call, while a reserved block on each of two shards stays
-// in flight across calls: Drain must hand over exactly Next's entries in
-// Next's order, in windows of at most 512, both from the one-pass frontier
-// walk and from the fixpoint once the blocks commit.
-func TestCursorDrainMatchesNext(t *testing.T) {
-	l, err := New(8192, WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, drain := l.Cursor(), l.Cursor()
-	var counter uint64
-	put := func(tid uint64, n int) {
-		for i := 0; i < n; i++ {
-			counter++
-			if err := l.Append(Entry{Kind: KindCall, Counter: counter, Addr: tid, ThreadID: tid}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Threads 2 and 3 hash onto different shards; each leaves a block of
-	// 700 slots reserved, then commits past it.
-	if l.ShardOf(2) == l.ShardOf(3) || l.ShardOf(4) != l.ShardOf(2) || l.ShardOf(5) != l.ShardOf(3) {
-		t.Fatal("threads 2, 4 and 3, 5 do not share two distinct shards")
-	}
-	var blocks [2]uint64
-	for k, tid := range []uint64{2, 3} {
-		put(tid, 300)
-		start, n := l.ReserveShard(l.ShardOf(tid), 700)
-		if n != 700 {
-			t.Fatalf("reserved %d slots, want 700", n)
-		}
-		blocks[k] = start
-		put(tid+2, 600) // tid+2 shares tid's shard
-	}
-	check := func(round string) {
-		t.Helper()
-		want := next.Next(nil)
-		var got []Entry
-		n := drain.Drain(func(w []Entry) {
-			if len(w) == 0 || len(w) > 512 {
-				t.Fatalf("%s: window of %d entries", round, len(w))
-			}
-			got = append(got, w...)
-		})
-		if n != len(want) || len(got) != len(want) {
-			t.Fatalf("%s: Drain handed over %d (reported %d), Next %d", round, len(got), n, len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: entry %d = %+v, Next %+v", round, i, got[i], want[i])
-			}
-		}
-		if drain.Pending() != next.Pending() || drain.Pos() != next.Pos() {
-			t.Fatalf("%s: Drain at %d with %d pending, Next at %d with %d", round,
-				drain.Pos(), drain.Pending(), next.Pos(), next.Pending())
-		}
-	}
-	check("blocks in flight")
-	for k, tid := range []uint64{2, 3} {
-		for i := uint64(0); i < 700; i++ {
-			counter++
-			l.Commit(blocks[k]+i, Entry{Kind: KindReturn, Counter: counter, Addr: tid, ThreadID: tid})
-		}
-	}
-	put(5, 100)
-	check("blocks committed")
-	if next.Pending() != 0 {
-		t.Fatalf("%d holes left after every block committed", next.Pending())
-	}
-	check("nothing new")
-}
-
 func sameCounters(es []Entry, want []uint64) bool {
 	if len(es) != len(want) {
 		return false

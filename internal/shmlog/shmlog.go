@@ -1445,9 +1445,8 @@ func readSlots(r io.Reader, slots *[]rawSlot, n int) error {
 }
 
 // Cursor is an incremental reader over a live log: each Next call returns
-// the entries committed since the previous call (Drain hands them to a
-// callback instead), letting a monitor tail the log concurrently with
-// running probes without reparsing from the start.
+// the entries committed since the previous call, letting a monitor tail the
+// log concurrently with running probes without reparsing from the start.
 //
 // A slot below a segment's tail may be reserved but still in flight: the
 // writer sits between the fetch-and-add and the entry stores, or — under
@@ -1493,7 +1492,6 @@ type Cursor struct {
 	// segment's scan, reused across segments and calls to avoid per-call
 	// allocation.
 	scratch []int
-	window  []Entry // Drain's staging buffer
 }
 
 // segCursor is the cursor's per-segment frontier state.
@@ -1537,39 +1535,9 @@ func (c *Cursor) Pending() int {
 // dst unchanged when nothing new has committed.
 func (c *Cursor) Next(dst []Entry) []Entry {
 	for s := range c.segs {
-		dst = c.nextSeg(s, dst, nil)
+		dst = c.nextSeg(s, dst)
 	}
 	return dst
-}
-
-// drainWindow is how many entries Drain stages at a time: 16 KiB, so a
-// window is consumed while it is still in the L1 cache.
-const drainWindow = 512
-
-// Drain hands every newly committed entry to fn, in Next's order, in
-// windows of at most 512 entries, and returns how many it handed over.
-// Next stages a whole drain in one buffer, which a large burst pushes out
-// of the cache before the caller reads it back; Drain lets the caller fold
-// each window right after it is decoded. fn runs in the middle of the
-// cursor's scan, so it must not use the cursor, and it must not keep a
-// window: the cursor reuses it for the next one.
-func (c *Cursor) Drain(fn func([]Entry)) int {
-	if c.window == nil {
-		c.window = make([]Entry, 0, drainWindow)
-	}
-	n := 0
-	flush := func(w []Entry) {
-		n += len(w)
-		fn(w)
-	}
-	w := c.window[:0]
-	for s := range c.segs {
-		w = c.nextSeg(s, w, flush)
-	}
-	if len(w) > 0 {
-		flush(w)
-	}
-	return n
 }
 
 // nextSeg advances one segment's frontier and appends that segment's newly
@@ -1578,9 +1546,7 @@ func (c *Cursor) Drain(fn func([]Entry)) int {
 // committed slots straight into dst, up to the first slot still in
 // flight. Only the rest — that slot onward, plus any holes kept from
 // earlier calls — is resolved to a fixpoint (see the Cursor doc comment).
-// With a flush, dst is a window: when it is full, flush consumes it and it
-// starts over empty.
-func (c *Cursor) nextSeg(s int, dst []Entry, flush func([]Entry)) []Entry {
+func (c *Cursor) nextSeg(s int, dst []Entry) []Entry {
 	sc := &c.segs[s]
 	n := c.log.segLen(s)
 	if len(sc.holes) == 0 {
@@ -1595,10 +1561,6 @@ func (c *Cursor) nextSeg(s int, dst []Entry, flush func([]Entry)) []Entry {
 				break // in flight: the fixpoint below takes it from here
 			}
 			if tid != TombstoneTID {
-				if flush != nil && len(dst) == cap(dst) {
-					flush(dst)
-					dst = dst[:0]
-				}
 				dst = append(dst, decodeWords(seg[0], seg[1], tid))
 			}
 			i++
@@ -1658,10 +1620,6 @@ func (c *Cursor) nextSeg(s int, dst []Entry, flush func([]Entry)) []Entry {
 		sort.Ints(committed)
 	}
 	for _, i := range committed {
-		if flush != nil && len(dst) == cap(dst) {
-			flush(dst)
-			dst = dst[:0]
-		}
 		dst = append(dst, decodeWords(c.log.slotWords(c.log.segEntryIdx(s, i))))
 	}
 	c.scratch = committed[:0]
